@@ -187,10 +187,16 @@ func ScheduleSource(src string, opts Options) (*Schedule, error) {
 }
 
 // Simulate executes a schedule on its machine with the given timing
-// policy, returning per-instruction times and the completion time. This is
-// the one-shot reference path; sweeps should CompileSim once and call
+// policy, returning per-instruction times and the completion time. It
+// compiles a plan for the one run; sweeps should CompileSim once and call
 // SimPlan.Run per seed — the results are byte-identical.
-func Simulate(s *Schedule, cfg SimConfig) (*Run, error) { return machine.Run(s, cfg) }
+func Simulate(s *Schedule, cfg SimConfig) (*Run, error) {
+	plan, err := machine.Compile(s, s.Opts.Machine)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Run(cfg)
+}
 
 // CompileSim lowers a schedule into an immutable simulation plan for the
 // given machine kind. Compile once, run many: SimPlan.Run executes the

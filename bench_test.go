@@ -151,30 +151,34 @@ func BenchmarkScheduleOptimal(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateSBM measures one randomized discrete-event execution.
+// BenchmarkSimulateSBM measures one randomized execution of a compiled
+// plan plus its dependence check.
 func BenchmarkSimulateSBM(b *testing.B) {
 	g := benchGraph(b, 60, 10, 1)
 	s, err := core.ScheduleDAG(g, core.DefaultOptions(8))
 	if err != nil {
 		b.Fatal(err)
 	}
+	plan, err := machine.Compile(s, core.SBM)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := machine.Run(s, machine.Config{Policy: machine.RandomTimes, Seed: int64(i)})
+		r, err := plan.Run(machine.Config{Policy: machine.RandomTimes, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := r.CheckDependences(); err != nil {
 			b.Fatal(err)
 		}
+		r.Release()
 	}
 }
 
 // BenchmarkSimulateSweep measures the compiled-plan sweep path: one
 // Compile amortized over per-seed Plan.Run executions with recycled
-// scratch, for both machine kinds. Compare against
-// BenchmarkSimulateSweepLegacy, which runs the identical sweep through the
-// reference per-run simulator.
+// scratch, for both machine kinds.
 func BenchmarkSimulateSweep(b *testing.B) {
 	g := benchGraph(b, 60, 10, 1)
 	s, err := core.ScheduleDAG(g, core.DefaultOptions(8))
@@ -200,13 +204,13 @@ func BenchmarkSimulateSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateLanes measures the lane-parallel batch kernel against
-// the scalar per-seed sweep on the standard synthetic workload. Each
-// scalar-W iteration runs W scalar Plan.Run calls; each lanes-W
-// iteration runs one RunMany over the same W seeds, so the ns/op ratio
-// at equal W is the batch speedup (also exposed per seed via the
-// ns/seed metric for cross-width comparison). The allocs/op column pins
-// the warm batch path at zero.
+// BenchmarkSimulateLanes measures the simulator kernel at several lane
+// widths on the standard synthetic workload. Each scalar-W iteration
+// runs W one-lane Plan.Run calls; each lanes-W iteration runs one
+// RunMany over the same W seeds, so the ns/op ratio at equal W is the
+// batching speedup (also exposed per seed via the ns/seed metric for
+// cross-width comparison). The allocs/op column pins the warm path at
+// zero.
 func BenchmarkSimulateLanes(b *testing.B) {
 	g := benchGraph(b, 60, 10, 1)
 	s, err := core.ScheduleDAG(g, core.DefaultOptions(8))
@@ -250,27 +254,6 @@ func BenchmarkSimulateLanes(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/seed")
 			})
 		}
-	}
-}
-
-// BenchmarkSimulateSweepLegacy is the oracle-path twin of
-// BenchmarkSimulateSweep: the same sweep through RunAs, which re-derives
-// queue order and simulator state every execution.
-func BenchmarkSimulateSweepLegacy(b *testing.B) {
-	g := benchGraph(b, 60, 10, 1)
-	s, err := core.ScheduleDAG(g, core.DefaultOptions(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []core.MachineKind{core.SBM, core.DBM} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := machine.RunAs(s, kind, machine.Config{Policy: machine.RandomTimes, Seed: int64(i)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

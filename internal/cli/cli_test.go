@@ -220,10 +220,11 @@ func TestSimLanesMatchScalar(t *testing.T) {
 		}
 		return strings.Join(got, "\n")
 	}
-	scalar := sweepLines("0")
-	for _, lanes := range []string{"7", "32"} {
-		if batched := sweepLines(lanes); batched != scalar {
-			t.Errorf("lanes=%s sweep diverged from scalar:\n%s\nvs\n%s", lanes, batched, scalar)
+	// -lanes 0 selects the default width; every width must agree.
+	want := sweepLines("1")
+	for _, lanes := range []string{"0", "7", "32"} {
+		if got := sweepLines(lanes); got != want {
+			t.Errorf("lanes=%s sweep diverged from lanes=1:\n%s\nvs\n%s", lanes, got, want)
 		}
 	}
 }

@@ -10,20 +10,27 @@ import (
 	"barriermimd/internal/core"
 	"barriermimd/internal/machine"
 	"barriermimd/internal/obsv"
-	"barriermimd/internal/pool"
 	"barriermimd/internal/synth"
 )
+
+// defaultLanes is bmsim's seed-sweep batch width.
+const defaultLanes = 32
 
 // printGantt simulates one random execution and prints its timeline. The
 // run inherits the schedule's trace recorder (if any), so a -trace file
 // captures its barrier firings too.
 func printGantt(s *core.Schedule, seed int64, stdout, stderr io.Writer) int {
-	run, err := machine.Run(s, machine.Config{Policy: machine.RandomTimes, Seed: seed, Recorder: s.Opts.Recorder})
+	plan, err := machine.Compile(s, s.Opts.Machine)
+	if err != nil {
+		return fail(stderr, "gantt", err)
+	}
+	run, err := plan.Run(machine.Config{Policy: machine.RandomTimes, Seed: seed, Recorder: s.Opts.Recorder})
 	if err != nil {
 		return fail(stderr, "gantt", err)
 	}
 	fmt.Fprintln(stdout, "\n=== Simulated execution (random timings) ===")
 	fmt.Fprint(stdout, run.Gantt(100))
+	run.Release()
 	return 0
 }
 
@@ -39,7 +46,7 @@ func Sim(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	runs := fs.Int("runs", 20, "random-timing executions to simulate")
 	seed := fs.Int64("seed", 0, "base seed")
 	seeds := fs.Int("seeds", 0, "additionally sweep N seeds through the compiled plan (parallel) and report finish-time statistics")
-	lanes := fs.Int("lanes", 32, "seed-sweep batch width: >0 runs the sweep through the lane-parallel RunMany kernel in batches of this size, 0 forces the scalar per-seed path")
+	lanes := fs.Int("lanes", defaultLanes, "seed-sweep batch width for the lane-parallel RunMany kernel (0 = default 32)")
 	policyName := fs.String("policy", "random", "timing policy: random, min, or max")
 	stmts := fs.Int("stmts", 40, "synthetic benchmark statements (no file given)")
 	vars := fs.Int("vars", 10, "synthetic benchmark variables (no file given)")
@@ -157,67 +164,33 @@ func Sim(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepSeeds sweeps n consecutive seeds through the plan and returns the
-// finish times sorted ascending. With lanes > 0 the sweep runs through the
-// lane-parallel RunMany kernel in batches of that width (the kernel
-// parallelizes chunks across the worker pool internally); with lanes == 0
-// it falls back to scalar per-seed runs fanned across the pool.
-//
-// Both paths produce byte-identical traces for any lane or worker count:
-// RunMany replays each batch's events in lane index order after the batch
-// completes, and the scalar path records every seed into a private ring
-// replayed in seed order — either way the merged stream is the seeds'
-// events in ascending seed order.
+// sweepSeeds sweeps n consecutive seeds through the plan's lane-parallel
+// RunMany kernel in batches of lanes seeds (0 selects defaultLanes) and
+// returns the finish times sorted ascending. The kernel parallelizes
+// chunks across the worker pool internally and replays each batch's trace
+// events in lane index order, so the merged stream is the seeds' events in
+// ascending seed order at any lane or worker count.
 func sweepSeeds(plan *machine.Plan, policy machine.Policy, base int64, n, lanes int, rec obsv.Recorder) ([]int, error) {
-	if lanes > 0 {
-		finishes := make([]int, 0, n)
-		batch := make([]int64, lanes)
-		for lo := 0; lo < n; lo += lanes {
-			hi := lo + lanes
-			if hi > n {
-				hi = n
-			}
-			seeds := batch[:hi-lo]
-			for i := range seeds {
-				seeds[i] = base + int64(lo+i)
-			}
-			br, err := plan.RunMany(machine.Config{Policy: policy, Recorder: rec}, seeds)
-			if err != nil {
-				return nil, err
-			}
-			finishes = append(finishes, br.FinishTimes...)
-			br.Release()
-		}
-		sort.Ints(finishes)
-		return finishes, nil
+	if lanes == 0 {
+		lanes = defaultLanes
 	}
-	var rings []*obsv.Ring
-	if rec != nil {
-		perRun := plan.NumBarriers() + 2 // run-start + fired barriers + run-end
-		rings = make([]*obsv.Ring, n)
-		for i := range rings {
-			rings[i] = obsv.NewRing(perRun)
+	finishes := make([]int, 0, n)
+	batch := make([]int64, lanes)
+	for lo := 0; lo < n; lo += lanes {
+		hi := lo + lanes
+		if hi > n {
+			hi = n
 		}
-	}
-	finishes := make([]int, n)
-	err := pool.ForEach(0, n, func(i int) error {
-		cfg := machine.Config{Policy: policy, Seed: base + int64(i)}
-		if rings != nil {
-			cfg.Recorder = rings[i]
+		seeds := batch[:hi-lo]
+		for i := range seeds {
+			seeds[i] = base + int64(lo+i)
 		}
-		res, err := plan.Run(cfg)
+		br, err := plan.RunMany(machine.Config{Policy: policy, Recorder: rec}, seeds)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		finishes[i] = res.FinishTime
-		res.Release()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rings {
-		r.ReplayInto(rec)
+		finishes = append(finishes, br.FinishTimes...)
+		br.Release()
 	}
 	sort.Ints(finishes)
 	return finishes, nil

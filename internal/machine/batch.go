@@ -1,19 +1,23 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
+	"time"
 
 	"barriermimd/internal/core"
 	"barriermimd/internal/obsv"
 	"barriermimd/internal/pool"
 )
 
-// This file implements Plan.RunMany: a structure-of-arrays batch kernel
-// that simulates W seeds ("lanes") in lockstep over one compiled plan.
+// This file implements the package's one simulator: a structure-of-arrays
+// kernel that simulates W seeds ("lanes") in lockstep over one compiled
+// plan. Plan.RunMany runs it over a seed slice; Plan.Run runs it with a
+// single lane, where the [node*W+lane] and [dense*W+lane] layouts reduce
+// to plain node and dense indexing.
 //
 // The invariant that makes lockstep possible: the simulator's control
 // skeleton — instruction positions, blocked sets, arrival counts, and
@@ -27,7 +31,7 @@ import (
 // per chunk, with branch-free lanes-inner loops doing the per-lane
 // clock arithmetic. The same invariant means deadlocks and order
 // violations are structural: when one lane fails, every lane fails
-// identically, so RunMany reports a whole-batch error (no lane can
+// identically, so the kernel reports a whole-batch error (no lane can
 // poison a sibling — they were all going to take the same path).
 //
 // Lanes chunk across internal/pool workers; every chunk owns private
@@ -110,10 +114,12 @@ func (r *BatchResult) Release() {
 }
 
 // batchScratch owns one BatchResult's backing storage plus the sort
-// buffer for its summary; recycled through Plan.batchPool.
+// buffer for its summary; recycled through Plan.batchPool. one is the
+// Result that Plan.Run returns, aliasing res's one-lane storage.
 type batchScratch struct {
 	plan     *Plan
 	res      BatchResult
+	one      Result
 	sortBuf  []int
 	released bool
 }
@@ -138,6 +144,7 @@ func (p *Plan) getBatch(W int) *batchScratch {
 		bs.res.Schedule = p.sched
 		bs.res.barIDs = p.barIDs
 		bs.res.bsc = bs
+		bs.one = Result{Schedule: p.sched, barIDs: p.barIDs, bsc: bs}
 		simStats.misses.Add(1)
 	}
 	bs.released = false
@@ -202,8 +209,6 @@ type chunkScratch struct {
 	done     int
 	qpos     int
 	cal      calendar
-
-	rng *rand.Rand // fallback draw path when the RNG replica is unavailable
 }
 
 func (p *Plan) getChunk(L int) *chunkScratch {
@@ -218,7 +223,6 @@ func (p *Plan) getChunk(L int) *chunkScratch {
 			blocked:  make([]int32, p.nprocs),
 			arrivals: make([]int32, nb),
 			cal:      newCalendar(nb),
-			rng:      rand.New(rand.NewSource(0)),
 		}
 	}
 	if ck.lcap < L {
@@ -231,13 +235,16 @@ func (p *Plan) getChunk(L int) *chunkScratch {
 	return ck
 }
 
-// draw fills ck.dur ([node*L+lane]) for the chunk's seeds, reproducing
-// the scalar path's per-lane stream exactly: each lane draws one
-// policy-dependent value per node in node order from
-// rand.New(rand.NewSource(seed)). The fast path seeds the replica
-// generator (independent multiply-folds per state word); the fallback
-// re-seeds a pooled *rand.Rand per lane.
-func (ck *chunkScratch) draw(policy Policy, seeds []int64) {
+// errReplica is returned for RandomTimes runs when the math/rand replica
+// fails its self-check (see rng.go): any other stream would break the
+// contract that a (Policy, Seed) pair denotes one concrete execution.
+var errReplica = errors.New("machine: math/rand replica failed self-check")
+
+// draw fills ck.dur ([node*L+lane]) for the chunk's seeds: each lane
+// draws one policy-dependent value per node in node order from
+// rand.New(rand.NewSource(seed)), reproduced by the replica generator
+// (independent multiply-folds per state word).
+func (ck *chunkScratch) draw(policy Policy, seeds []int64) error {
 	p := ck.plan
 	L := len(seeds)
 	switch policy {
@@ -257,28 +264,19 @@ func (ck *chunkScratch) draw(policy Policy, seeds []int64) {
 			}
 		}
 	default:
-		if replicaReady() && !forceSlowDraw {
-			for l, seed := range seeds {
-				g := laneRNG{vec: ck.vec[l*rngLen : (l+1)*rngLen]}
-				g.seed(seed)
-				for n := 0; n < p.nnodes; n++ {
-					ck.dur[n*L+l] = p.minDur[n] + int32(g.int31n(p.spanDur[n]))
-				}
-			}
-			return
+		if !replicaReady() {
+			return errReplica
 		}
 		for l, seed := range seeds {
-			ck.rng.Seed(seed)
+			g := laneRNG{vec: ck.vec[l*rngLen : (l+1)*rngLen]}
+			g.seed(seed)
 			for n := 0; n < p.nnodes; n++ {
-				ck.dur[n*L+l] = p.minDur[n] + int32(ck.rng.Intn(int(p.spanDur[n])))
+				ck.dur[n*L+l] = p.minDur[n] + int32(g.int31n(p.spanDur[n]))
 			}
 		}
 	}
+	return nil
 }
-
-// forceSlowDraw routes RandomTimes draws through the *rand.Rand
-// fallback even when the replica is available (tests only).
-var forceSlowDraw bool
 
 // run simulates the chunk's lanes in lockstep, writing outputs into
 // res columns [lo, lo+L). Only the first chunk (lo == 0) appends to the
@@ -288,7 +286,9 @@ var forceSlowDraw bool
 func (ck *chunkScratch) run(cfg Config, seeds []int64, res *BatchResult, lo int) error {
 	p := ck.plan
 	L := len(seeds)
-	ck.draw(cfg.Policy, seeds)
+	if err := ck.draw(cfg.Policy, seeds); err != nil {
+		return err
+	}
 
 	clear(ck.clock[:p.nprocs*L])
 	clear(ck.arrivals)
@@ -421,9 +421,10 @@ func (ck *chunkScratch) fire(d int32, cost int, res *BatchResult, lo, L int) {
 	}
 }
 
-// deadlockError mirrors the scalar formatter on the chunk's control
-// state; identical across chunks, so the batch error is deterministic
-// for any worker count.
+// deadlockError reports the stuck control state, plus which predecessor
+// barriers of the SBM's blocking queue entry have not fired. The state is
+// identical across chunks, so the error is deterministic for any worker
+// count.
 func (ck *chunkScratch) deadlockError(res *BatchResult, lo, L int) error {
 	p := ck.plan
 	W := res.Lanes
@@ -452,37 +453,18 @@ func (ck *chunkScratch) deadlockError(res *BatchResult, lo, L int) error {
 
 // minChunkLanes is the smallest lane count worth a separate chunk: each
 // chunk re-decodes the instruction stream once, so very thin chunks
-// would reintroduce the scalar path's redundant-decode overhead.
+// would pay that decode for too few lanes.
 const minChunkLanes = 8
 
-// RunMany executes the plan once per seed, simulating all lanes in
-// lockstep through the batch kernel. Lane i of the returned BatchResult
-// is field-for-field identical to Plan.Run with Config.Seed = seeds[i]
-// (Start/Finish intervals, fire times, finish time, fire order), for
-// every policy, machine kind and barrier cost — the byte-identity
-// property test pins this. Lanes are chunked across internal/pool
-// workers; outputs are index-addressed, so results (and the recorded
-// trace, see below) are bit-identical for any worker or chunk count.
-//
-// Simulation failures (deadlock, SBM order violation) are structural
-// properties of the plan, identical in every lane, so RunMany reports
-// them as a whole-batch error and returns no result; pooled state is
-// recycled on that path just as on success.
-//
-// With a non-nil cfg.Recorder, RunMany replays each lane's event
-// stream — run-start, one event per barrier firing at the lane's fire
-// time, run-end — after the batch completes, in lane index order. The
-// merged stream is byte-identical to running the lanes' seeds through
-// scalar Plan.Run calls recorded in the same seed order.
-func (p *Plan) RunMany(cfg Config, seeds []int64) (*BatchResult, error) {
-	W := len(seeds)
-	if W == 0 {
-		return nil, fmt.Errorf("machine: RunMany needs at least one seed")
-	}
-	bs := p.getBatch(W)
+// simulate runs the kernel over bs's seeds, chunking lanes across
+// internal/pool workers. On a structural failure it records what a run
+// of the first seed records before failing (see replayBatch), recycles
+// bs and returns the error. Chunk 0 — the one that appends the shared
+// fire order — always runs to the failure point, because pool.ForEach
+// hands out item 0 before any item can fail.
+func (p *Plan) simulate(cfg Config, bs *batchScratch) error {
 	res := &bs.res
-	copy(res.seeds, seeds)
-
+	W := res.Lanes
 	chunks := runtime.GOMAXPROCS(0)
 	if m := (W + minChunkLanes - 1) / minChunkLanes; chunks > m {
 		chunks = m
@@ -495,7 +477,7 @@ func (p *Plan) RunMany(cfg Config, seeds []int64) (*BatchResult, error) {
 	var err error
 	if nchunks == 1 {
 		// Inline single-chunk path: no closure, no worker handoff — the
-		// warm-path 0-alloc pin holds here.
+		// warm-path 0-alloc pins hold here.
 		ck := p.getChunk(W)
 		err = ck.run(cfg, res.seeds, res, 0)
 		p.chunkPool.Put(ck)
@@ -513,18 +495,86 @@ func (p *Plan) RunMany(cfg Config, seeds []int64) (*BatchResult, error) {
 		})
 	}
 	if err != nil {
+		if cfg.Recorder != nil {
+			replayBatch(p, res, cfg, cfg.Recorder, true)
+		}
 		bs.release()
+	}
+	return err
+}
+
+// Run executes the plan once under cfg: the kernel with a single lane.
+// The returned Result aliases that lane's pooled storage; call
+// Result.Release when done with it to recycle the storage. With a
+// non-nil cfg.Recorder, Run records run-start, one event per barrier
+// firing at its fire time, and run-end.
+func (p *Plan) Run(cfg Config) (*Result, error) {
+	// The wall-clock reads are gated: a run is microseconds, so even two
+	// time.Now calls would cost a measurable slice of its budget.
+	var t0 time.Time
+	timed := runTiming.Load()
+	if timed {
+		t0 = time.Now()
+	}
+	bs := p.getBatch(1)
+	res := &bs.res
+	res.seeds[0] = cfg.Seed
+	if err := p.simulate(cfg, bs); err != nil {
 		return nil, err
 	}
+	if rec := cfg.Recorder; rec != nil {
+		replayBatch(p, res, cfg, rec, false)
+	}
+	r := &bs.one
+	r.FinishTime = res.FinishTimes[0]
+	r.Start, r.Finish = res.start, res.finish
+	r.FireOrder, r.fireTime = res.FireOrder, res.fireTime
+	simStats.runs.Add(1)
+	if timed {
+		runLatency[p.kind].Observe(time.Since(t0))
+	}
+	return r, nil
+}
 
+// RunMany executes the plan once per seed, simulating all lanes in
+// lockstep. Lane i of the returned BatchResult is field-for-field
+// identical to Plan.Run with Config.Seed = seeds[i] (Start/Finish
+// intervals, fire times, finish time, fire order), for every policy,
+// machine kind and barrier cost — the byte-identity property test pins
+// this. Lanes are chunked across internal/pool workers; outputs are
+// index-addressed, so results (and the recorded trace, see below) are
+// bit-identical for any worker or chunk count.
+//
+// Simulation failures (deadlock, SBM order violation) are structural
+// properties of the plan, identical in every lane, so RunMany reports
+// them as a whole-batch error and returns no result; pooled state is
+// recycled on that path just as on success.
+//
+// With a non-nil cfg.Recorder, RunMany replays each lane's event
+// stream — run-start, one event per barrier firing at the lane's fire
+// time, run-end — after the batch completes, in lane index order. The
+// merged stream is byte-identical to running the lanes' seeds through
+// Plan.Run calls recorded in the same seed order, including on failure,
+// where that loop stops inside the first seed's run.
+func (p *Plan) RunMany(cfg Config, seeds []int64) (*BatchResult, error) {
+	W := len(seeds)
+	if W == 0 {
+		return nil, fmt.Errorf("machine: RunMany needs at least one seed")
+	}
+	bs := p.getBatch(W)
+	res := &bs.res
+	copy(res.seeds, seeds)
+	if err := p.simulate(cfg, bs); err != nil {
+		return nil, err
+	}
 	summarize(res, bs.sortBuf)
 	if rec := cfg.Recorder; rec != nil {
-		replayBatch(p, res, cfg, rec)
+		replayBatch(p, res, cfg, rec, false)
 	}
 	// Batched lanes count into runs too (Runs stays the total seed count
-	// across both paths); the run-latency histogram is deliberately NOT
-	// observed here — it measures single-run latency, and a W-lane batch
-	// sample would skew its distribution.
+	// across both entry points); the run-latency histogram is deliberately
+	// NOT observed here — it measures single-run latency, and a W-lane
+	// batch sample would skew its distribution.
 	simStats.runs.Add(uint64(W))
 	simStats.batches.Add(1)
 	simStats.lanes.Add(uint64(W))
@@ -556,11 +606,13 @@ func summarize(res *BatchResult, buf []int) {
 	}
 }
 
-// replayBatch re-records each lane's event stream in lane index order:
-// run-start, the shared fire order with per-lane ticks, run-end. This
-// is exactly the stream a scalar Plan.Run with the lane's seed records,
-// so trace output is byte-identical at any lane or worker count.
-func replayBatch(p *Plan, res *BatchResult, cfg Config, rec obsv.Recorder) {
+// replayBatch records each lane's event stream in lane index order:
+// run-start, the shared fire order with per-lane ticks, run-end — the
+// stream a one-lane run of that seed records, so trace output is
+// byte-identical at any lane or worker count. For a failed batch it
+// stops after the first lane's fired prefix, with no run-end: what a
+// loop of one-seed runs records before the first seed's run fails.
+func replayBatch(p *Plan, res *BatchResult, cfg Config, rec obsv.Recorder, failed bool) {
 	W := res.Lanes
 	for l := 0; l < W; l++ {
 		rec.Record(obsv.Event{Kind: obsv.KindRunStart,
@@ -569,6 +621,9 @@ func replayBatch(p *Plan, res *BatchResult, cfg Config, rec obsv.Recorder) {
 			rec.Record(obsv.Event{Kind: obsv.KindBarrierFire,
 				Tick: int64(res.fireTime[int(d)*W+l]),
 				Arg0: int64(res.FireOrder[k]), Arg1: int64(p.partCount(d))})
+		}
+		if failed {
+			return
 		}
 		ft := res.FinishTimes[l]
 		rec.Record(obsv.Event{Kind: obsv.KindRunEnd,

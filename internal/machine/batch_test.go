@@ -91,36 +91,6 @@ func TestRunManyMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRunManyFallbackDraw pins the slow draw path (a pooled *rand.Rand
-// re-seeded per lane, used when the RNG replica fails verification) to
-// the same byte-identity contract.
-func TestRunManyFallbackDraw(t *testing.T) {
-	forceSlowDraw = true
-	defer func() { forceSlowDraw = false }()
-	seeds := batchSeeds(16)
-	s := schedule(t, 40, 10, 6, 4, core.SBM)
-	for _, kind := range []core.MachineKind{core.SBM, core.DBM} {
-		plan, err := Compile(s, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Policy: RandomTimes, BarrierCost: 1}
-		br, err := plan.RunMany(cfg, seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l, seed := range seeds {
-			want, err := plan.Run(Config{Policy: RandomTimes, BarrierCost: 1, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameLane(t, "fallback "+kind.String(), want, br, l)
-			want.Release()
-		}
-		br.Release()
-	}
-}
-
 // TestRunManySummary checks the aggregate block against a direct
 // computation over the per-lane finish times.
 func TestRunManySummary(t *testing.T) {
@@ -343,10 +313,61 @@ func TestRunManyErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRunErrorPathTrace: on a corrupted plan, Plan.Run and RunMany
+// record the same events — run-start and the barriers fired before the
+// failure for the first seed, and no run-end — which is what a loop of
+// Plan.Run calls over the seeds records before it returns the error.
+func TestRunErrorPathTrace(t *testing.T) {
+	seeds := batchSeeds(16)
+	s := schedule(t, 45, 10, 6, 8, core.SBM)
+	for _, tc := range []struct {
+		kind    core.MachineKind
+		corrupt func(*Plan) func()
+	}{
+		{core.SBM, corruptQueue},
+		{core.SBM, corruptWait},
+		{core.DBM, corruptWait},
+	} {
+		plan := compile(t, s, tc.kind)
+		undo := tc.corrupt(plan)
+		scalar, batch := obsv.NewRing(1<<12), obsv.NewRing(1<<12)
+		cfg := Config{Policy: RandomTimes, BarrierCost: 1, Seed: seeds[0], Recorder: scalar}
+		if _, err := plan.Run(cfg); err == nil {
+			t.Fatalf("%v: Plan.Run succeeded on a corrupted plan", tc.kind)
+		}
+		cfg.Recorder = batch
+		if _, err := plan.RunMany(cfg, seeds); err == nil {
+			t.Fatalf("%v: RunMany succeeded on a corrupted plan", tc.kind)
+		}
+		undo()
+		evs := scalar.Events()
+		if len(evs) == 0 || evs[0].Kind != obsv.KindRunStart || evs[0].Arg0 != seeds[0] {
+			t.Fatalf("%v: failed run's trace does not open with the seed's run-start: %v", tc.kind, evs)
+		}
+		for _, ev := range evs[1:] {
+			if ev.Kind != obsv.KindBarrierFire {
+				t.Fatalf("%v: failed run recorded %v after run-start", tc.kind, ev.Kind)
+			}
+		}
+		var sb, bb bytes.Buffer
+		if err := obsv.WriteJSONL(&sb, scalar); err != nil {
+			t.Fatal(err)
+		}
+		if err := obsv.WriteJSONL(&bb, batch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
+			t.Errorf("%v: failed batch trace differs from failed run trace\nrun:\n%s\nbatch:\n%s",
+				tc.kind, sb.String(), bb.String())
+		}
+	}
+}
+
 // TestResultDoubleRelease: a second Release must be a no-op. If it ever
 // put the scratch in the pool twice, the two live results drawn below
 // would share one scratch and the first's data would be overwritten by
-// the second run.
+// the second run. Run and RunMany draw from one batch pool, so RunMany
+// calls on the plan must leave a live Run result unchanged as well.
 func TestResultDoubleRelease(t *testing.T) {
 	s := schedule(t, 40, 10, 6, 6, core.SBM)
 	plan, err := Compile(s, core.SBM)
@@ -376,6 +397,14 @@ func TestResultDoubleRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "after double release", oracle, r1)
+	for _, w := range []int{1, 8, 17} {
+		br, err := plan.RunMany(Config{Policy: MaxTimes, BarrierCost: 4}, batchSeeds(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		br.Release()
+	}
+	sameResult(t, "after RunMany on the shared pool", oracle, r1)
 	r1.Release()
 	r2.Release()
 }

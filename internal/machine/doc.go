@@ -16,29 +16,30 @@
 // every producer finished before its consumer started — i.e. that the
 // compiler's static synchronization decisions were sound.
 //
-// # Compile-once / run-many
+// # One kernel, one oracle
 //
-// The package offers two equivalent execution paths. Run/RunAs re-derive
-// everything from the schedule per call and serve as the reference
-// implementation. Compile lowers a schedule once into an immutable Plan —
-// flat per-processor instruction streams, CSR barrier-participation and
+// Compile lowers a schedule once into an immutable Plan — flat
+// per-processor instruction streams, CSR barrier-participation and
 // barrier-dag lists, a dense barrier-id remapping, and (for the SBM) the
-// precomputed firing queue — and Plan.Run executes it with per-run state
-// recycled through a sync.Pool. A Plan depends only on (schedule, machine
-// kind), never on a run's Config, so one Plan serves any number of
-// concurrent goroutines sweeping seeds, policies, and barrier costs; a
-// warm run-and-release cycle performs no allocations. Plan.Run results are
-// byte-identical to Run/RunAs (enforced by regression test), and Stats
-// reports the process-wide plan/run/pool counters.
+// precomputed firing queue. One structure-of-arrays kernel executes it:
+// Plan.RunMany simulates a slice of seeds in lockstep, and Plan.Run is the
+// same kernel with a single lane. Per-run state is recycled through the
+// plan's sync.Pools. A Plan depends only on (schedule, machine kind),
+// never on a run's Config, so one Plan serves any number of concurrent
+// goroutines sweeping seeds, policies, and barrier costs; a warm
+// run-and-release cycle performs no allocations. The package tests keep a
+// reference per-run simulator that re-derives everything from the
+// schedule on every call, and require the kernel to match it byte for
+// byte. Stats reports the process-wide plan/run/pool counters.
 //
 // # Observability
 //
-// Config.Recorder attaches an internal/obsv trace recorder; both
-// execution paths emit the same deterministic stream per run — run-start,
-// one barrier-fire per firing at its simulated time, run-end — so traces
-// are comparable across the compiled and reference paths. A nil Recorder
-// costs one nil check, preserving the zero-allocation warm path; a
-// pre-sized ring keeps even traced runs allocation-free.
+// Config.Recorder attaches an internal/obsv trace recorder; every run
+// emits the same deterministic stream — run-start, one barrier-fire per
+// firing at its simulated time, run-end — whether it ran alone through
+// Plan.Run or as a lane of Plan.RunMany. A nil Recorder costs one nil
+// check, preserving the zero-allocation warm path; a pre-sized ring keeps
+// even traced runs allocation-free.
 // EnableRunTiming gates wall-clock run-latency histograms (RunLatency,
 // per machine kind) separately, since timing is the one measurement that
 // cannot be free. The schema is documented in OBSERVABILITY.md.

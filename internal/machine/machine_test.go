@@ -37,10 +37,31 @@ func schedule(t *testing.T, stmts, vars, procs int, seed int64, mk core.MachineK
 	return s
 }
 
+// compile lowers s for kind through the production Compile.
+func compile(t *testing.T, s *core.Schedule, kind core.MachineKind) *Plan {
+	t.Helper()
+	plan, err := Compile(s, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// runOnce compiles s for its own machine kind and simulates it once under
+// cfg through the production kernel.
+func runOnce(t *testing.T, s *core.Schedule, cfg Config) *Result {
+	t.Helper()
+	r, err := compile(t, s, s.Opts.Machine).Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRunSimpleScheduleAllPolicies(t *testing.T) {
-	s := schedule(t, 20, 6, 4, 1, core.SBM)
+	plan := compile(t, schedule(t, 20, 6, 4, 1, core.SBM), core.SBM)
 	for _, pol := range []Policy{MinTimes, MaxTimes, RandomTimes} {
-		r, err := Run(s, Config{Policy: pol, Seed: 9})
+		r, err := plan.Run(Config{Policy: pol, Seed: 9})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -63,11 +84,12 @@ func TestExtremePoliciesMatchStaticSpan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rmin, err := Run(s, Config{Policy: MinTimes})
+			plan := compile(t, s, mk)
+			rmin, err := plan.Run(Config{Policy: MinTimes})
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, mk, err)
 			}
-			rmax, err := Run(s, Config{Policy: MaxTimes})
+			rmax, err := plan.Run(Config{Policy: MaxTimes})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +110,9 @@ func TestRandomTimingsNeverViolateDependences(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		for _, mk := range []core.MachineKind{core.SBM, core.DBM} {
 			s := schedule(t, 50, 10, 6, seed, mk)
+			plan := compile(t, s, mk)
 			for trial := int64(0); trial < 25; trial++ {
-				r, err := Run(s, Config{Policy: RandomTimes, Seed: trial})
+				r, err := plan.Run(Config{Policy: RandomTimes, Seed: trial})
 				if err != nil {
 					t.Fatalf("seed %d %v trial %d: %v", seed, mk, trial, err)
 				}
@@ -114,24 +137,24 @@ func TestOptimalInsertionSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := compile(t, s, s.Opts.Machine)
 		for trial := int64(0); trial < 25; trial++ {
-			r, err := Run(s, Config{Policy: RandomTimes, Seed: trial})
+			r, err := plan.Run(Config{Policy: RandomTimes, Seed: trial})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := r.CheckDependences(); err != nil {
 				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
 			}
+			r.Release()
 		}
 	}
 }
 
 func TestSBMQueueOrderIsLinearExtension(t *testing.T) {
 	s := schedule(t, 60, 10, 8, 3, core.SBM)
-	q, err := QueueOrder(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := compile(t, s, core.SBM)
+	q := plan.idsOf(plan.queue)
 	if len(q) != s.NumBarriers() {
 		t.Fatalf("queue has %d entries, want %d", len(q), s.NumBarriers())
 	}
@@ -160,12 +183,9 @@ func TestSBMQueueOrderIsLinearExtension(t *testing.T) {
 }
 
 func TestSBMFiresInQueueOrder(t *testing.T) {
-	s := schedule(t, 60, 10, 8, 4, core.SBM)
-	q, err := QueueOrder(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Run(s, Config{Policy: RandomTimes, Seed: 17})
+	plan := compile(t, schedule(t, 60, 10, 8, 4, core.SBM), core.SBM)
+	q := plan.idsOf(plan.queue)
+	r, err := plan.Run(Config{Policy: RandomTimes, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +205,14 @@ func TestDBMFireTimesNeverLaterThanSBM(t *testing.T) {
 	// DBM can only finish earlier or equal.
 	for seed := int64(0); seed < 8; seed++ {
 		s := schedule(t, 50, 10, 8, seed, core.SBM)
+		sbm, dbm := compile(t, s, core.SBM), compile(t, s, core.DBM)
 		for trial := int64(0); trial < 5; trial++ {
 			cfg := Config{Policy: RandomTimes, Seed: trial}
-			rs, err := RunAs(s, core.SBM, cfg)
+			rs, err := sbm.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := RunAs(s, core.DBM, cfg)
+			rd, err := dbm.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,10 +228,7 @@ func TestDBMFireTimesNeverLaterThanSBM(t *testing.T) {
 
 func TestBarriersResumeSimultaneously(t *testing.T) {
 	s := schedule(t, 30, 8, 4, 2, core.SBM)
-	r, err := Run(s, Config{Policy: RandomTimes, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOnce(t, s, Config{Policy: RandomTimes, Seed: 5})
 	// For every barrier, each participant's next instruction must start
 	// exactly at the fire time (exact synchrony property).
 	for id, fireT := range r.FireTimes() {
@@ -260,9 +278,8 @@ func TestDeadlockDetection(t *testing.T) {
 			break
 		}
 	}
-	_, err := Run(s, Config{Policy: MinTimes})
-	if err == nil {
-		t.Fatal("corrupted schedule simulated without error")
+	if _, err := Compile(s, core.SBM); err == nil {
+		t.Fatal("corrupted schedule compiled without error")
 	}
 }
 
@@ -275,8 +292,9 @@ func TestFig1ScheduleSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := compile(t, s, s.Opts.Machine)
 	for trial := int64(0); trial < 50; trial++ {
-		r, err := Run(s, Config{Policy: RandomTimes, Seed: trial})
+		r, err := plan.Run(Config{Policy: RandomTimes, Seed: trial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,10 +319,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestRandomDurationsWithinRanges(t *testing.T) {
 	s := schedule(t, 30, 8, 4, 7, core.SBM)
-	r, err := Run(s, Config{Policy: RandomTimes, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOnce(t, s, Config{Policy: RandomTimes, Seed: 3})
 	for n := 0; n < s.Graph.N; n++ {
 		d := r.Finish[n] - r.Start[n]
 		tm := s.Graph.Time[n]
@@ -316,10 +331,7 @@ func TestRandomDurationsWithinRanges(t *testing.T) {
 
 func TestSingleProcessorSerialExecution(t *testing.T) {
 	s := schedule(t, 20, 5, 1, 8, core.SBM)
-	r, err := Run(s, Config{Policy: MaxTimes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOnce(t, s, Config{Policy: MaxTimes})
 	sum := 0
 	for n := 0; n < s.Graph.N; n++ {
 		sum += s.Graph.Time[n].Max
@@ -340,8 +352,9 @@ func TestSimulatedTimesWithinStaticWindows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan := compile(t, s, mk)
 			for trial := int64(0); trial < 15; trial++ {
-				r, err := Run(s, Config{Policy: RandomTimes, Seed: trial})
+				r, err := plan.Run(Config{Policy: RandomTimes, Seed: trial})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -368,11 +381,12 @@ func TestWindowsExtremesAreTight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmin, err := Run(s, Config{Policy: MinTimes})
+	plan := compile(t, s, core.SBM)
+	rmin, err := plan.Run(Config{Policy: MinTimes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmax, err := Run(s, Config{Policy: MaxTimes})
+	rmax, err := plan.Run(Config{Policy: MaxTimes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +423,10 @@ func TestDBMDeadlockDetection(t *testing.T) {
 			break
 		}
 	}
-	_, err := Run(s, Config{Policy: MinTimes})
+	plan, err := Compile(s, core.DBM)
+	if err == nil {
+		_, err = plan.Run(Config{Policy: MinTimes})
+	}
 	if err == nil {
 		t.Fatal("corrupted DBM schedule simulated without error")
 	}
@@ -424,13 +441,14 @@ func TestDBMFireTimesPointwiseDominance(t *testing.T) {
 	// can only delay firings, never accelerate them).
 	for seed := int64(0); seed < 6; seed++ {
 		s := schedule(t, 50, 10, 8, seed, core.SBM)
+		sbm, dbm := compile(t, s, core.SBM), compile(t, s, core.DBM)
 		for trial := int64(0); trial < 4; trial++ {
 			cfg := Config{Policy: RandomTimes, Seed: trial}
-			rs, err := RunAs(s, core.SBM, cfg)
+			rs, err := sbm.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd, err := RunAs(s, core.DBM, cfg)
+			rd, err := dbm.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,13 +2,10 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"barriermimd/internal/core"
-	"barriermimd/internal/obsv"
 )
 
 // Plan is a schedule lowered into flat arrays for repeated simulation:
@@ -16,14 +13,15 @@ import (
 // barrier-dag adjacency lists, a dense barrier-id remapping (so per-run
 // firing times live in a slice instead of a map), and — for the SBM — the
 // precomputed compile-time firing queue. A Plan is immutable after Compile
-// and safe to share across goroutines; all mutable per-run state lives in a
-// scratch struct recycled through the plan's sync.Pool.
+// and safe to share across goroutines; all mutable per-run state lives in
+// scratch recycled through the plan's sync.Pools.
 //
 // The invariant that makes the split sound: everything in the Plan depends
 // only on (schedule, machine kind), never on the timing policy, seed, or
-// barrier cost, which are per-run Config inputs. Plan.Run is byte-identical
-// to the legacy per-run Run/RunAs path (the oracle) for every machine ×
-// policy × seed combination.
+// barrier cost, which are per-run Config inputs. Plan.Run and Plan.RunMany
+// share one simulator kernel (batch.go); the tests pin it byte-identical
+// to a reference per-run simulator for every machine × policy × seed
+// combination.
 type Plan struct {
 	sched *core.Schedule
 	kind  core.MachineKind
@@ -59,9 +57,8 @@ type Plan struct {
 	// width (Max-Min+1), pre-split for the per-run duration draw.
 	minDur, spanDur []int32
 
-	pool      sync.Pool // *scratch
-	batchPool sync.Pool // *batchScratch (RunMany results)
-	chunkPool sync.Pool // *chunkScratch (RunMany worker state)
+	batchPool sync.Pool // *batchScratch (Run and RunMany results)
+	chunkPool sync.Pool // *chunkScratch (kernel worker state)
 }
 
 // Compile lowers a schedule into an immutable simulation plan for the given
@@ -177,8 +174,8 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 
 // buildQueue computes the SBM compile-time barrier queue in dense space: a
 // linear extension of the barrier dag ordered by earliest possible firing
-// time, ties by barrier id — the same selection QueueOrder performs, so the
-// resulting fire order is identical. Dense index order coincides with
+// time, ties by barrier id — the same selection as the reference queue
+// builder in oracle_test.go, so the resulting fire order is identical. Dense index order coincides with
 // ascending id order, which makes the tie-break a plain index comparison.
 func (p *Plan) buildQueue(node2dense []int32) error {
 	fminNode, _, err := p.sched.Barriers.FireWindows()
@@ -239,302 +236,6 @@ func (p *Plan) Kind() core.MachineKind { return p.kind }
 func (p *Plan) NumBarriers() int { return len(p.barIDs) }
 
 func (p *Plan) partCount(d int32) int32 { return p.partStart[d+1] - p.partStart[d] }
-
-// scratch is the mutable per-run state of one simulation. It is recycled
-// through the owning plan's pool: Run draws one (or allocates it cold),
-// and Result.Release parks it again. The embedded Result is what Run
-// returns, so a released Result must not be read afterwards.
-type scratch struct {
-	plan *Plan
-	rng  *rand.Rand
-	rec  obsv.Recorder // cfg.Recorder for the run in flight, nil otherwise
-
-	dur      []int32 // drawn durations per node
-	clock    []int   // local clocks per processor
-	pos      []int32 // next index into plan.items per processor
-	blocked  []int32 // dense barrier each processor waits on, or -1
-	arrivals []int32 // arrived participants per dense barrier
-	done     int     // processors that ran off the end of their stream
-	qpos     int     // SBM: next queue entry
-	cal      calendar
-	released bool // guards release() against double-release
-
-	res Result
-}
-
-func (p *Plan) newScratch() *scratch {
-	nb := len(p.barIDs)
-	sc := &scratch{
-		plan:     p,
-		rng:      rand.New(rand.NewSource(0)),
-		dur:      make([]int32, p.nnodes),
-		clock:    make([]int, p.nprocs),
-		pos:      make([]int32, p.nprocs),
-		blocked:  make([]int32, p.nprocs),
-		arrivals: make([]int32, nb),
-		cal:      newCalendar(nb),
-	}
-	sc.res = Result{
-		Schedule:  p.sched,
-		Start:     make([]int, p.nnodes),
-		Finish:    make([]int, p.nnodes),
-		FireOrder: make([]int, 0, nb-1),
-		barIDs:    p.barIDs,
-		fireTime:  make([]int, nb),
-		sc:        sc,
-	}
-	return sc
-}
-
-func (p *Plan) getScratch() *scratch {
-	if v := p.pool.Get(); v != nil {
-		simStats.hits.Add(1)
-		sc := v.(*scratch)
-		sc.released = false
-		return sc
-	}
-	simStats.misses.Add(1)
-	return p.newScratch()
-}
-
-// release parks the scratch (and the Result embedded in it) back in the
-// plan's pool. Called by Result.Release and by Run's error paths. The
-// recorder reference is dropped so a pooled scratch cannot keep one
-// alive (or record into it) across runs. A second release before the
-// next Run is a no-op: putting the same scratch in the pool twice would
-// hand it to two concurrent runs at once.
-func (sc *scratch) release() {
-	if sc.released {
-		return
-	}
-	sc.released = true
-	sc.rec = nil
-	sc.plan.pool.Put(sc)
-}
-
-// reset prepares the scratch for a fresh run.
-func (sc *scratch) reset() {
-	clear(sc.res.Start)
-	clear(sc.res.Finish)
-	sc.res.FireOrder = sc.res.FireOrder[:0]
-	sc.res.FinishTime = 0
-	for d := range sc.res.fireTime {
-		sc.res.fireTime[d] = -1
-	}
-	sc.res.fireTime[0] = 0 // the initial barrier fires at time zero
-	clear(sc.clock)
-	clear(sc.arrivals)
-	for pr := range sc.pos {
-		sc.pos[pr] = sc.plan.procStart[pr]
-		sc.blocked[pr] = -1
-	}
-	sc.done = 0
-	sc.qpos = 0
-	sc.cal.reset()
-}
-
-// Run executes the plan once under cfg, drawing scratch state from the
-// plan's pool. The returned Result is byte-identical to the legacy
-// Run/RunAs path for the same (kind, policy, seed, barrier cost); call
-// Result.Release when done with it to recycle its storage.
-func (p *Plan) Run(cfg Config) (*Result, error) {
-	// The wall-clock reads are gated: a run is microseconds, so even two
-	// time.Now calls would cost a measurable slice of its budget.
-	var t0 time.Time
-	timed := runTiming.Load()
-	if timed {
-		t0 = time.Now()
-	}
-	sc := p.getScratch()
-	sc.reset()
-	sc.rec = cfg.Recorder
-	if sc.rec != nil {
-		sc.rec.Record(obsv.Event{Kind: obsv.KindRunStart,
-			Arg0: cfg.Seed, Arg1: int64(cfg.Policy), Arg2: int64(cfg.BarrierCost)})
-	}
-
-	// Duration draw, identical to the legacy path: one policy-dependent
-	// value per node in node order, so a (Policy, Seed) pair denotes the
-	// same concrete execution on every path and machine kind. Re-seeding
-	// the pooled generator reproduces rand.New(rand.NewSource(seed))
-	// without the allocation.
-	sc.rng.Seed(cfg.Seed)
-	switch cfg.Policy {
-	case MinTimes:
-		copy(sc.dur, p.minDur)
-	case MaxTimes:
-		for n := range sc.dur {
-			sc.dur[n] = p.minDur[n] + p.spanDur[n] - 1
-		}
-	default:
-		for n := range sc.dur {
-			sc.dur[n] = p.minDur[n] + int32(sc.rng.Intn(int(p.spanDur[n])))
-		}
-	}
-
-	for pr := 0; pr < p.nprocs; pr++ {
-		sc.advance(pr)
-	}
-	for sc.done < p.nprocs {
-		var d int32
-		if p.kind == core.SBM {
-			// Only the top mask of the compile-time FIFO queue may fire.
-			if sc.qpos >= len(p.queue) {
-				err := sc.deadlockError()
-				sc.release()
-				return nil, err
-			}
-			d = p.queue[sc.qpos]
-			ready := int32(0)
-			for k := p.partStart[d]; k < p.partStart[d+1]; k++ {
-				pr := p.parts[k]
-				switch {
-				case sc.blocked[pr] == d:
-					ready++
-				case sc.blocked[pr] >= 0:
-					// A participant waiting at a different barrier means
-					// the static order disagrees with the timeline order:
-					// a scheduler bug.
-					err := fmt.Errorf("machine: SBM order violation: processor %d waits on %d while top is %d",
-						pr, p.barIDs[sc.blocked[pr]], p.barIDs[d])
-					sc.release()
-					return nil, err
-				}
-			}
-			if ready < p.partCount(d) {
-				err := sc.deadlockError()
-				sc.release()
-				return nil, err
-			}
-			sc.qpos++
-		} else {
-			// DBM: the ready calendar pops the lowest-id barrier whose
-			// participants have all arrived — the associative matcher's
-			// selection.
-			var ok bool
-			if d, ok = sc.cal.pop(); !ok {
-				err := sc.deadlockError()
-				sc.release()
-				return nil, err
-			}
-		}
-		sc.fire(d, cfg.BarrierCost)
-	}
-
-	for pr := 0; pr < p.nprocs; pr++ {
-		if sc.clock[pr] > sc.res.FinishTime {
-			sc.res.FinishTime = sc.clock[pr]
-		}
-	}
-	if sc.rec != nil {
-		sc.rec.Record(obsv.Event{Kind: obsv.KindRunEnd,
-			Tick: int64(sc.res.FinishTime), Arg0: int64(sc.res.FinishTime)})
-		sc.rec = nil
-	}
-	simStats.runs.Add(1)
-	if timed {
-		runLatency[p.kind].Observe(time.Since(t0))
-	}
-	return &sc.res, nil
-}
-
-// advance runs processor pr until it blocks on a wait or finishes its
-// stream, recording start/finish times as it goes. Arriving at a barrier
-// bumps its arrival counter; on a DBM the barrier enters the ready
-// calendar when the last participant arrives.
-func (sc *scratch) advance(pr int) {
-	p := sc.plan
-	pos := sc.pos[pr]
-	end := p.procStart[pr+1]
-	clock := sc.clock[pr]
-	for pos < end {
-		v := p.items[pos]
-		if v < 0 {
-			d := -v - 1
-			sc.pos[pr] = pos
-			sc.clock[pr] = clock
-			sc.blocked[pr] = d
-			sc.arrivals[d]++
-			if p.queue == nil && sc.arrivals[d] == p.partCount(d) {
-				sc.cal.push(d)
-			}
-			return
-		}
-		sc.res.Start[v] = clock
-		clock += int(sc.dur[v])
-		sc.res.Finish[v] = clock
-		pos++
-	}
-	sc.pos[pr] = pos
-	sc.clock[pr] = clock
-	sc.blocked[pr] = -1
-	sc.done++
-}
-
-// fire releases dense barrier d: all participants resume simultaneously,
-// cost time units after the arrival of the last participant, and each
-// resumed processor advances to its next wait.
-func (sc *scratch) fire(d int32, cost int) {
-	p := sc.plan
-	t := 0
-	for k := p.partStart[d]; k < p.partStart[d+1]; k++ {
-		if c := sc.clock[p.parts[k]]; c > t {
-			t = c
-		}
-	}
-	t += cost
-	sc.res.fireTime[d] = t
-	sc.res.FireOrder = append(sc.res.FireOrder, p.barIDs[d])
-	if sc.rec != nil {
-		sc.rec.Record(obsv.Event{Kind: obsv.KindBarrierFire, Tick: int64(t),
-			Arg0: int64(p.barIDs[d]), Arg1: int64(p.partCount(d))})
-	}
-	for k := p.partStart[d]; k < p.partStart[d+1]; k++ {
-		pr := int(p.parts[k])
-		sc.clock[pr] = t
-		sc.blocked[pr] = -1
-		sc.pos[pr]++
-		sc.advance(pr)
-	}
-}
-
-// deadlockError reports the stuck simulation state, mirroring the legacy
-// formatter, plus which predecessor barriers of the blocking point have
-// not fired (from the plan's dense barrier dag).
-func (sc *scratch) deadlockError() error {
-	p := sc.plan
-	msg := fmt.Sprintf("machine: %v deadlock:", p.kind)
-	for pr := 0; pr < p.nprocs; pr++ {
-		switch {
-		case sc.pos[pr] >= p.procStart[pr+1]:
-			msg += fmt.Sprintf(" P%d=done", pr)
-		case sc.blocked[pr] >= 0:
-			msg += fmt.Sprintf(" P%d=wait(b%d)", pr, p.barIDs[sc.blocked[pr]])
-		default:
-			msg += fmt.Sprintf(" P%d=running", pr)
-		}
-	}
-	if p.kind == core.SBM && sc.qpos < len(p.queue) {
-		d := p.queue[sc.qpos]
-		msg += fmt.Sprintf(" top=b%d", p.barIDs[d])
-		for k := p.predStart[d]; k < p.predStart[d+1]; k++ {
-			if pd := p.preds[k]; sc.res.fireTime[pd] < 0 {
-				msg += fmt.Sprintf(" unfired-pred=b%d", p.barIDs[pd])
-			}
-		}
-	}
-	return fmt.Errorf("%s", msg)
-}
-
-// idsOf translates dense indices to schedule-level barrier ids (used by
-// tests and diagnostics).
-func (p *Plan) idsOf(dense []int32) []int {
-	out := make([]int, len(dense))
-	for i, d := range dense {
-		out[i] = p.barIDs[d]
-	}
-	return out
-}
 
 // denseIndex locates a schedule-level barrier id in the ascending dense
 // table, or -1.

@@ -100,6 +100,15 @@ func TestPlanResultReleaseRecycles(t *testing.T) {
 	r2.Release()
 }
 
+// idsOf translates dense barrier indices to schedule-level ids.
+func (p *Plan) idsOf(dense []int32) []int {
+	out := make([]int, len(dense))
+	for i, d := range dense {
+		out[i] = p.barIDs[d]
+	}
+	return out
+}
+
 // TestPlanQueueMatchesQueueOrder pins the dense queue construction to the
 // map-based QueueOrder reference.
 func TestPlanQueueMatchesQueueOrder(t *testing.T) {
@@ -313,6 +322,10 @@ func TestSimStatsCount(t *testing.T) {
 	}
 	if after.Runs != before.Runs+10 {
 		t.Errorf("runs %d → %d, want +10", before.Runs, after.Runs)
+	}
+	if after.Batches != before.Batches || after.Lanes != before.Lanes {
+		t.Errorf("batches/lanes %d/%d → %d/%d, want unchanged by Plan.Run",
+			before.Batches, before.Lanes, after.Batches, after.Lanes)
 	}
 	// The race runtime drops pool items on purpose to widen race windows,
 	// so only require a warm pool in non-race builds.

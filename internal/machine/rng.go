@@ -6,10 +6,10 @@ import (
 )
 
 // This file holds a bit-exact replica of math/rand's additive
-// lagged-Fibonacci generator (rngSource), used by Plan.RunMany to draw
-// per-lane durations. The contract everywhere in this package is that a
-// (Policy, Seed) pair denotes one concrete execution, with the stream
-// defined by rand.New(rand.NewSource(seed)) — so a batched kernel must
+// lagged-Fibonacci generator (rngSource), used by the simulator kernel to
+// draw per-lane durations. The contract everywhere in this package is that
+// a (Policy, Seed) pair denotes one concrete execution, with the stream
+// defined by rand.New(rand.NewSource(seed)) — so the kernel must
 // reproduce that stream bit for bit. The stdlib generator's problem for
 // sweeps is Seed(): it walks a ~1900-step dependent Lehmer chain
 // (x' = 48271·x mod 2³¹−1) to fill the 607-word state, which costs more
@@ -29,8 +29,8 @@ import (
 // self-verifying — replica streams are compared against math/rand for a
 // spread of seeds — and if verification ever fails (a hypothetical
 // future change to the frozen math/rand algorithm), replicaReady reports
-// false and RunMany falls back to re-seeding a pooled *rand.Rand per
-// lane, which is slower but correct by construction.
+// false and RandomTimes runs fail with an error rather than draw a
+// different stream.
 
 const (
 	rngLen   = 607 // length of the lagged-Fibonacci state
@@ -158,7 +158,7 @@ func recoverReplica() {
 // verifyReplica cross-checks the recovered tables against math/rand for
 // a spread of seeds: raw 64-bit outputs past a full state cycle (so the
 // tap/feed walk is exercised through its wrap) and bounded draws through
-// the same rejection path Plan.Run uses.
+// the same rejection path (*rand.Rand).Intn uses.
 func verifyReplica() bool {
 	state := make([]uint64, rngLen)
 	for _, seed := range []int64{0, 1, 2, -1, -7, 89482311, int31max, 1<<62 + 12345} {

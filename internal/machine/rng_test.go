@@ -1,14 +1,17 @@
 package machine
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
+
+	"barriermimd/internal/core"
 )
 
 // TestReplicaReady pins that the table recovery succeeds against this
 // toolchain's math/rand. If a future toolchain ever changes the (frozen)
-// generator, this test flags it loudly while production code degrades to
-// the slow per-lane fallback.
+// generator, this test flags it loudly; RandomTimes runs then return an
+// error instead of drawing a different stream.
 func TestReplicaReady(t *testing.T) {
 	if !replicaReady() {
 		t.Fatal("laneRNG table recovery failed verification against math/rand")
@@ -66,6 +69,29 @@ func TestLaneRNGReseed(t *testing.T) {
 			t.Fatalf("reseeded output %d: replica %d, math/rand %d", k, got, want)
 		}
 	}
+}
+
+// TestFailedReplicaIsAnError: with the replica marked unverified, a
+// RandomTimes run must fail rather than draw some other stream, while
+// the min/max policies, which draw nothing, still run.
+func TestFailedReplicaIsAnError(t *testing.T) {
+	if !replicaReady() {
+		t.Skip("replica unavailable on this toolchain")
+	}
+	plan := compile(t, schedule(t, 30, 8, 4, 1, core.SBM), core.SBM)
+	replica.ok = false
+	defer func() { replica.ok = true }()
+	if _, err := plan.Run(Config{Policy: RandomTimes, Seed: 1}); !errors.Is(err, errReplica) {
+		t.Errorf("Plan.Run error = %v, want %v", err, errReplica)
+	}
+	if _, err := plan.RunMany(Config{Policy: RandomTimes}, batchSeeds(16)); !errors.Is(err, errReplica) {
+		t.Errorf("RunMany error = %v, want %v", err, errReplica)
+	}
+	r, err := plan.Run(Config{Policy: MaxTimes})
+	if err != nil {
+		t.Fatalf("MaxTimes run without the replica: %v", err)
+	}
+	r.Release()
 }
 
 func BenchmarkLaneRNGSeed(b *testing.B) {

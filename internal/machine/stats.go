@@ -19,9 +19,9 @@ var simStats struct {
 }
 
 // Stats snapshots the process-wide simulation counters: plans compiled,
-// plan runs executed, and how often a run's scratch state was recycled
-// from a pool rather than freshly allocated. Legacy Run/RunAs executions
-// are not counted — they compile nothing and recycle nothing.
+// runs executed (one per Plan.Run, one per RunMany lane), RunMany batches
+// and lanes, and how often a run's scratch state was recycled from a pool
+// rather than freshly allocated.
 func Stats() metrics.SimStats {
 	return metrics.SimStats{
 		PlansCompiled: simStats.plans.Load(),

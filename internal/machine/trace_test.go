@@ -9,10 +9,7 @@ import (
 
 func TestGanttRendersAllProcessors(t *testing.T) {
 	s := schedule(t, 30, 8, 4, 3, core.SBM)
-	r, err := Run(s, Config{Policy: RandomTimes, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOnce(t, s, Config{Policy: RandomTimes, Seed: 1})
 	out := r.Gantt(80)
 	for _, want := range []string{"P0", "P1", "P2", "P3", "t=0"} {
 		if !strings.Contains(out, want) {
@@ -30,10 +27,7 @@ func TestGanttRendersAllProcessors(t *testing.T) {
 
 func TestGanttScalesLongRuns(t *testing.T) {
 	s := schedule(t, 60, 10, 2, 5, core.SBM)
-	r, err := Run(s, Config{Policy: MaxTimes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOnce(t, s, Config{Policy: MaxTimes})
 	out := r.Gantt(40)
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "P") && len(line) > 5+40+1 {
@@ -50,14 +44,8 @@ func TestBarrierCostDelaysCompletion(t *testing.T) {
 	if s.NumBarriers() == 0 {
 		t.Skip("benchmark scheduled without barriers")
 	}
-	free, err := Run(s, Config{Policy: MinTimes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	costly, err := Run(s, Config{Policy: MinTimes, BarrierCost: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := runOnce(t, s, Config{Policy: MinTimes})
+	costly := runOnce(t, s, Config{Policy: MinTimes, BarrierCost: 5})
 	if costly.FinishTime <= free.FinishTime {
 		t.Errorf("barrier cost 5 did not delay completion: %d vs %d", costly.FinishTime, free.FinishTime)
 	}

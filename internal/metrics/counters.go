@@ -99,8 +99,8 @@ type SimStats struct {
 	ScratchMisses uint64
 	// Batches counts RunMany calls (lane-parallel batch executions);
 	// Lanes counts the seeds those batches simulated. Batched lanes are
-	// also counted in Runs, so Runs is the total seed count across both
-	// the scalar and batched paths.
+	// also counted in Runs, so Runs is the total seed count across
+	// Plan.Run and RunMany.
 	Batches uint64
 	Lanes   uint64
 }

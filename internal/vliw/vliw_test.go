@@ -160,7 +160,11 @@ func TestVLIWvsSimulatedBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := machine.Run(s, machine.Config{Policy: machine.MaxTimes})
+	plan, err := machine.Compile(s, s.Opts.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := plan.Run(machine.Config{Policy: machine.MaxTimes})
 	if err != nil {
 		t.Fatal(err)
 	}
