@@ -4,11 +4,11 @@ GO ?= go
 # count, and memory reporting (set BENCHMEM= to drop allocs/op columns,
 # BENCH=. to run every benchmark).
 BASE ?= HEAD~1
-BENCH ?= BenchmarkSchedule|BenchmarkSimulateSweep|BenchmarkSimulateLanes|BenchmarkCompilePlan
+BENCH ?= BenchmarkSchedule|BenchmarkSimulateSweep|BenchmarkSimulateLanes|BenchmarkCompilePlan|BenchmarkParse|BenchmarkExportJSON
 COUNT ?= 10
 BENCHMEM ?= -benchmem
 
-.PHONY: build test race vet fmt-check bench bench-check bench-lanes bench-serve benchcmp check docs-check trace
+.PHONY: build test race vet fmt-check bench bench-check bench-lanes bench-serve benchcmp check docs-check fuzz trace
 
 build:
 	$(GO) build ./...
@@ -31,17 +31,17 @@ fmt-check:
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' $(BENCHMEM) ./...
 
-# Simulation throughput of the one simulator kernel at one lane (W
-# Plan.Run calls, the scalar-W rows) and at 8/32/128 lanes (RunMany):
-# 5 repetitions of BenchmarkSimulateLanes; take medians of the ns/seed
-# custom metric. BENCH_lanes.json's scalar rows predate the single
-# kernel and measured a separate scalar simulator.
 # bench/ is a Go module of its own (its go.mod replaces barriermimd with
 # ../), so the root ./... never compiles it: vet and test it explicitly.
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
+# Simulation throughput of the one simulator kernel at one lane (W
+# Plan.Run calls, the scalar-W rows) and at 8/32/128 lanes (RunMany):
+# 5 repetitions of BenchmarkSimulateLanes; take medians of the ns/seed
+# custom metric. BENCH_lanes.json's scalar rows predate the single
+# kernel and measured a separate scalar simulator.
 bench-lanes:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulateLanes' $(BENCHMEM) -count 5 .
 
@@ -75,6 +75,14 @@ benchcmp:
 		echo "--- baseline ($(BASE)) ---"; grep '^Benchmark' "$$tmp/old.txt" || true; \
 		echo "--- working tree ---"; grep '^Benchmark' "$$tmp/new.txt" || true; \
 	fi
+
+# Fuzz smoke: each language fuzz target for 10 s from its seed corpus in
+# internal/lang/testdata/fuzz/. The patterns are anchored because -fuzz
+# must match exactly one target and FuzzParse is a prefix of FuzzParseCF.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCF$$' -fuzztime 10s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/lang
 
 # Documentation gate: godoc examples compile and pass, and every
 # relative Markdown link resolves (see docs_link_test.go).

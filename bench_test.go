@@ -124,6 +124,43 @@ func BenchmarkPipelineCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkParse measures the front end's lexer and parser on synthetic
+// blocks of 20, 60 and 200 statements (10 variables).
+func BenchmarkParse(b *testing.B) {
+	for _, stmts := range []int{20, 60, 200} {
+		src := synth.MustGenerate(synth.Config{Statements: stmts, Variables: 10}, 1).String()
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := lang.Parse(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExportJSON measures rendering the schedule JSON (the bmsched
+// -json and /v1/schedule body) of synthetic blocks of 20, 60 and 200
+// statements scheduled on 8 processors.
+func BenchmarkExportJSON(b *testing.B) {
+	for _, stmts := range []int{20, 60, 200} {
+		s, err := core.ScheduleDAG(benchGraph(b, stmts, 10, 1), core.DefaultOptions(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.ExportJSON(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScheduleSBM measures barrier MIMD scheduling of a 60-statement
 // block on 8 processors (conservative insertion, merging).
 func BenchmarkScheduleSBM(b *testing.B) {

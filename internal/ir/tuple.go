@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -65,26 +66,33 @@ func (t Tuple) Operands() []int {
 	return out
 }
 
-// operandString renders operand slot k in Figure-1 style.
-func (t Tuple) operandString(k int) string {
-	if t.IsImm[k] {
-		return fmt.Sprintf("#%d", t.Imm[k])
-	}
-	return fmt.Sprintf("%d", t.Args[k])
-}
-
 // String renders the tuple in the paper's listing format, e.g. "Add 0,1",
 // "Load i", "Store b,2".
-func (t Tuple) String() string {
+func (t Tuple) String() string { return string(t.AppendText(nil)) }
+
+// AppendText appends the tuple's listing format (see String) to b.
+func (t Tuple) AppendText(b []byte) []byte {
 	switch {
 	case t.Op == Load:
-		return fmt.Sprintf("Load %s", t.Var)
+		return append(append(b, "Load "...), t.Var...)
 	case t.Op == Store:
-		return fmt.Sprintf("Store %s,%s", t.Var, t.operandString(0))
+		b = append(append(b, "Store "...), t.Var...)
+		return t.appendOperand(append(b, ','), 0)
 	case t.Op.IsBinary():
-		return fmt.Sprintf("%s %s,%s", t.Op, t.operandString(0), t.operandString(1))
+		b = append(append(b, t.Op.String()...), ' ')
+		b = t.appendOperand(b, 0)
+		return t.appendOperand(append(b, ','), 1)
 	}
-	return t.Op.String()
+	return append(b, t.Op.String()...)
+}
+
+// appendOperand appends operand slot k in Figure-1 style: a tuple
+// number, or '#' and the value of an immediate.
+func (t Tuple) appendOperand(b []byte, k int) []byte {
+	if t.IsImm[k] {
+		return strconv.AppendInt(append(b, '#'), t.Imm[k], 10)
+	}
+	return strconv.AppendInt(b, int64(t.Args[k]), 10)
 }
 
 // Block is a basic block: a single-entry straight-line sequence of tuples

@@ -6,27 +6,6 @@ import (
 	"barriermimd/internal/ir"
 )
 
-// symbolOp maps surface syntax to an ir.Op.
-func symbolOp(sym string) ir.Op {
-	switch sym {
-	case "+":
-		return ir.Add
-	case "-":
-		return ir.Sub
-	case "*":
-		return ir.Mul
-	case "/":
-		return ir.Div
-	case "%":
-		return ir.Mod
-	case "&":
-		return ir.And
-	case "|":
-		return ir.Or
-	}
-	return ir.Nop
-}
-
 // operand is either a tuple position or an immediate during compilation.
 type operand struct {
 	pos   int

@@ -260,7 +260,7 @@ func (p *parser) ifStmt() (Stmt, error) {
 	if err := p.advance(); err != nil { // consume 'if'
 		return nil, err
 	}
-	cond, err := p.orExpr()
+	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +307,7 @@ func (p *parser) whileStmt() (Stmt, error) {
 	if err := p.advance(); err != nil { // consume 'while'
 		return nil, err
 	}
-	cond, err := p.orExpr()
+	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}

@@ -289,3 +289,92 @@ func TestParseIndentedMultilineSource(t *testing.T) {
 		t.Fatalf("statements = %d, want 2", len(p.Stmts))
 	}
 }
+
+// TestSyntaxErrorText pins the exact message and line:col of lexical and
+// parse errors. Columns count runes: a multi-byte letter or an invalid
+// UTF-8 byte is one column, and '\r' is plain whitespace.
+func TestSyntaxErrorText(t *testing.T) {
+	parsers := map[string]func(string) error{
+		"Parse":   func(src string) error { _, err := Parse(src); return err },
+		"ParseCF": func(src string) error { _, err := ParseCF(src); return err },
+		"Lex":     func(src string) error { _, err := Lex(src); return err },
+	}
+	cases := []struct{ fn, src, want string }{
+		{"Parse", "é = 1\nx = é é", "2:7: expected ';' or newline after statement, found identifier"},
+		{"Parse", "日本 = 日 +", "1:9: expected expression, found end of input"},
+		{"Parse", "日本 = é + $", "1:10: unexpected character '$'"},
+		{"Parse", "x = ٣", "1:5: number out of range: ٣"},
+		{"Parse", "x = 1٣", "1:5: number out of range: 1٣"},
+		{"Lex", "x = ٣a", "1:6: malformed number"},
+		{"Parse", "x = \xff", "1:5: unexpected character '�'"},
+		{"Parse", "é\xff = 1", "1:2: unexpected character '�'"},
+		{"Parse", "x = a\xff\xfe", "1:6: unexpected character '�'"},
+		{"Parse", "\xe6\x97 = 1", "1:1: unexpected character '�'"},
+		{"Parse", "x = a\x00", `1:6: unexpected character '\x00'`},
+		{"Parse", "x = 1\r\ny = $", "2:5: unexpected character '$'"},
+		{"Lex", "x = 1a", "1:6: malformed number"},
+		{"Lex", "x = $", "1:5: unexpected character '$'"},
+		{"Parse", "x = (a + b", "1:11: expected ')', found end of input"},
+		{"Parse", "x = (日\n", "1:7: expected ')', found ';'"},
+		{"Parse", "a = 99999999999999999999", "1:5: number out of range: 99999999999999999999"},
+		{"Parse", "a = b\n\n  c d", "3:5: expected '=', found identifier"},
+		{"Parse", "x = 1 +\n", "1:8: expected expression, found ';'"},
+		{"Parse", "x = 1 ) ", "1:7: expected ';' or newline after statement, found ')'"},
+		{"ParseCF", "if a { x = 1 ", "1:14: expected '}', found end of input"},
+		{"ParseCF", "else { }", "1:1: 'else' without matching 'if'"},
+		{"ParseCF", "while x { 日 = $ }", "1:15: unexpected character '$'"},
+	}
+	for _, c := range cases {
+		err := parsers[c.fn](c.src)
+		if err == nil {
+			t.Errorf("%s(%q) succeeded, want %q", c.fn, c.src, c.want)
+			continue
+		}
+		if _, ok := err.(*SyntaxError); !ok {
+			t.Errorf("%s(%q) error type %T, want *SyntaxError", c.fn, c.src, err)
+		}
+		if got := err.Error(); got != c.want {
+			t.Errorf("%s(%q) = %q, want %q", c.fn, c.src, got, c.want)
+		}
+	}
+}
+
+// TestLexMultibytePositions pins every token of two lines that mix
+// multi-byte letters, a non-ASCII digit, a comment holding an invalid
+// byte, tabs and both terminators.
+func TestLexMultibytePositions(t *testing.T) {
+	toks, err := Lex("日本 = é_1 + x٣ * 42 // 注释 \xff\n\tz\t= (日本 % ab٣c) ; w=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Token{
+		{TokIdent, "日本", 1, 1},
+		{TokAssign, "=", 1, 4},
+		{TokIdent, "é_1", 1, 6},
+		{TokPlus, "+", 1, 10},
+		{TokIdent, "x٣", 1, 12},
+		{TokStar, "*", 1, 15},
+		{TokNumber, "42", 1, 17},
+		{TokSemi, "\\n", 1, 27},
+		{TokIdent, "z", 2, 2},
+		{TokAssign, "=", 2, 4},
+		{TokLParen, "(", 2, 6},
+		{TokIdent, "日本", 2, 7},
+		{TokPercent, "%", 2, 10},
+		{TokIdent, "ab٣c", 2, 12},
+		{TokRParen, ")", 2, 16},
+		{TokSemi, ";", 2, 18},
+		{TokIdent, "w", 2, 20},
+		{TokAssign, "=", 2, 21},
+		{TokNumber, "1", 2, 22},
+		{TokEOF, "", 2, 23},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens %v, want %d", len(toks), toks, len(want))
+	}
+	for i := range want {
+		if toks[i] != want[i] {
+			t.Errorf("token %d = %+v, want %+v", i, toks[i], want[i])
+		}
+	}
+}

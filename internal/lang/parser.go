@@ -3,6 +3,8 @@ package lang
 import (
 	"fmt"
 	"strconv"
+
+	"barriermimd/internal/ir"
 )
 
 // Parse parses a basic block of assignment statements. Statements are
@@ -45,7 +47,7 @@ func MustParse(src string) *Program {
 }
 
 type parser struct {
-	lex *lexer
+	lex lexer
 	tok Token
 	// pushback holds tokens un-read by bounded lookahead (the 'else'
 	// search), consumed LIFO before the lexer is asked for more.
@@ -89,49 +91,71 @@ func (p *parser) assignment() (Assign, error) {
 	if _, err := p.expect(TokAssign); err != nil {
 		return Assign{}, err
 	}
-	rhs, err := p.orExpr()
+	rhs, err := p.expr()
 	if err != nil {
 		return Assign{}, err
 	}
 	return Assign{Name: name.Text, RHS: rhs, Line: name.Line}, nil
 }
 
-// binaryLevel parses a left-associative level of binary operators.
-func (p *parser) binaryLevel(ops map[TokenKind]string, sub func() (Expr, error)) (Expr, error) {
-	left, err := sub()
+// precedence is a binary operator's binding power; higher binds tighter.
+type precedence uint8
+
+const (
+	precNone precedence = iota // not a binary operator
+	precOr                     // |
+	precAnd                    // &
+	precAdd                    // + -
+	precMul                    // * / %
+)
+
+// binaryOp returns the operator a token denotes and its precedence, or
+// precNone when the token is not a binary operator.
+func binaryOp(k TokenKind) (ir.Op, precedence) {
+	switch k {
+	case TokPipe:
+		return ir.Or, precOr
+	case TokAmp:
+		return ir.And, precAnd
+	case TokPlus:
+		return ir.Add, precAdd
+	case TokMinus:
+		return ir.Sub, precAdd
+	case TokStar:
+		return ir.Mul, precMul
+	case TokSlash:
+		return ir.Div, precMul
+	case TokPercent:
+		return ir.Mod, precMul
+	}
+	return ir.Nop, precNone
+}
+
+// expr parses a full expression.
+func (p *parser) expr() (Expr, error) { return p.binary(precOr) }
+
+// binary parses an expression whose binary operators all bind at least
+// as tightly as lowest, by precedence climbing: operators of one level
+// associate to the left.
+func (p *parser) binary(lowest precedence) (Expr, error) {
+	left, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		sym, ok := ops[p.tok.Kind]
-		if !ok {
+		op, prec := binaryOp(p.tok.Kind)
+		if prec < lowest {
 			return left, nil
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		right, err := sub()
+		right, err := p.binary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		left = Binary{Op: symbolOp(sym), L: left, R: right}
+		left = Binary{Op: op, L: left, R: right}
 	}
-}
-
-func (p *parser) orExpr() (Expr, error) {
-	return p.binaryLevel(map[TokenKind]string{TokPipe: "|"}, p.andExpr)
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	return p.binaryLevel(map[TokenKind]string{TokAmp: "&"}, p.addExpr)
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	return p.binaryLevel(map[TokenKind]string{TokPlus: "+", TokMinus: "-"}, p.mulExpr)
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	return p.binaryLevel(map[TokenKind]string{TokStar: "*", TokSlash: "/", TokPercent: "%"}, p.primary)
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -162,12 +186,12 @@ func (p *parser) primary() (Expr, error) {
 		if c, ok := e.(Const); ok {
 			return Const{Value: -c.Value}, nil
 		}
-		return Binary{Op: symbolOp("-"), L: Const{0}, R: e}, nil
+		return Binary{Op: ir.Sub, L: Const{0}, R: e}, nil
 	case TokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		e, err := p.orExpr()
+		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}

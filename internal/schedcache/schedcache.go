@@ -63,7 +63,7 @@ func KeyFor(g *dag.Graph, opts core.Options) Key {
 
 // entry is one cached scheduling result. The schedule and its graph are
 // immutable once published; the machine plan is attached lazily on first
-// SchedulePlan call and shared from then on.
+// Plan call and shared from then on.
 type entry struct {
 	key   Key
 	sched *core.Schedule
@@ -319,30 +319,37 @@ func scrubOpts(opts core.Options) core.Options {
 }
 
 // SchedulePlan returns the memoized schedule for (g, opts) together with
-// its compiled machine plan. The plan is built at most once per cache
-// entry and shared by every subsequent caller; requests that bypass the
-// cache (errors, rejected fingerprint matches) compile a private plan.
+// its compiled machine plan (see Plan).
 func (c *Cache) SchedulePlan(g *dag.Graph, opts core.Options) (*core.Schedule, *machine.Plan, error) {
 	sched, err := c.Schedule(g, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	plan, err := c.Plan(g, opts, sched)
+	if err != nil {
+		return sched, nil, err
+	}
+	return sched, plan, nil
+}
+
+// Plan returns the compiled machine plan of sched, a schedule this cache
+// returned for (g, opts). The plan is built at most once per cache entry
+// and shared by every subsequent caller; a schedule whose entry is gone
+// or was never stored (errors, rejected fingerprint matches) gets a
+// private plan. Plan is not a schedule lookup: it counts no hit or miss.
+func (c *Cache) Plan(g *dag.Graph, opts core.Options, sched *core.Schedule) (*machine.Plan, error) {
 	key := KeyFor(g, opts)
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	ent, ok := sh.entries[key]
 	sh.mu.Unlock()
 	if !ok || !dag.Equal(ent.sched.Graph, g) {
-		plan, perr := machine.Compile(sched, opts.Machine)
-		return sched, plan, perr
+		return machine.Compile(sched, opts.Machine)
 	}
 	ent.planOnce.Do(func() {
 		ent.plan, ent.planErr = machine.Compile(ent.sched, opts.Machine)
 	})
-	if ent.planErr != nil {
-		return sched, nil, ent.planErr
-	}
-	return sched, ent.plan, nil
+	return ent.plan, ent.planErr
 }
 
 // Stats snapshots this cache's traffic counters. It implements

@@ -371,6 +371,13 @@ func TestSchedulePlanSharesCompiledPlan(t *testing.T) {
 	if p1 == nil {
 		t.Fatal("nil plan")
 	}
+	// Plan hands out the same shared plan without counting a lookup.
+	if p3, err := c.Plan(g, opts, s1); err != nil || p3 != p1 {
+		t.Fatalf("Plan = %p, %v; want the shared plan %p", p3, err, p1)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %v, want 1 miss + 1 hit", st)
+	}
 }
 
 // TestScheduleBatchCachedDedupesAndStaysDeterministic: a duplicate-heavy

@@ -422,7 +422,7 @@ func (s *Server) execSims(reqs []*request, units []*srcUnit, srcIdx map[string]i
 	for _, mk := range order {
 		m := merges[mk]
 		u := units[mk.srcI]
-		_, plan, err := s.cache.SchedulePlan(u.g, opts)
+		plan, err := s.cache.Plan(u.g, opts, u.sched)
 		if err == nil && len(m.seeds) > 0 {
 			var br *machine.BatchResult
 			br, err = plan.RunMany(machine.Config{Policy: mk.policy}, m.seeds)

@@ -279,14 +279,33 @@ func TestRejections(t *testing.T) {
 	}
 }
 
+// TestSimulateCountsOneLookupPerProgram: a simulate request looks its
+// schedule up once. N distinct programs are N misses and no hits; the
+// plan lookup that follows scheduling must not count again.
+func TestSimulateCountsOneLookupPerProgram(t *testing.T) {
+	srcs, _ := testPrograms(t, 4, 20)
+	s := serve.New(serve.Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, src := range srcs {
+		if status, body := postJSON(t, ts.URL+"/v1/simulate", serve.Request{Src: src, Runs: 3}); status != http.StatusOK {
+			t.Fatalf("simulate: status %d (%s)", status, body)
+		}
+	}
+	if st := s.Cache().Stats(); st.Misses != uint64(len(srcs)) || st.Hits != 0 {
+		t.Errorf("cache stats = %v, want %d misses and 0 hits", st, len(srcs))
+	}
+}
+
 // TestOverloadAndDeadline drives a deliberately slow request (a large
 // uncached program) to hold the server's one admission slot, checks the
 // concurrent request is shed with 429, and then checks a request whose
 // deadline cannot be met returns 504.
 func TestOverloadAndDeadline(t *testing.T) {
-	// ~2500 statements schedules in a couple of seconds on one core:
-	// slow enough to observe mid-flight, fast enough for a test.
-	big, err := synth.Generate(synth.Config{Statements: 2500, Variables: 12}, 42)
+	// 800 statements take about 0.2 s to schedule, or 5 s under -race on
+	// a 2-vCPU machine: slow enough to observe mid-flight, well inside
+	// the server's one-minute Timeout.
+	big, err := synth.Generate(synth.Config{Statements: 800, Variables: 12}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +337,7 @@ func TestOverloadAndDeadline(t *testing.T) {
 		t.Errorf("slow request: status %d, want 200", st)
 	}
 
-	big2, err := synth.Generate(synth.Config{Statements: 2500, Variables: 12}, 43)
+	big2, err := synth.Generate(synth.Config{Statements: 800, Variables: 12}, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
