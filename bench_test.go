@@ -174,6 +174,41 @@ func BenchmarkScheduleSBM(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleMix measures ScheduleDAG over the nine block shapes of
+// the benchmark's compile-unique workload: 20, 60 and 200 statements over
+// 10 variables, each scheduled for the SBM on 4 processors and the DBM on
+// 8 and 16. Every shape has 100 distinct blocks and one iteration
+// schedules one block, so ns/op and allocs/op are per-block means.
+func BenchmarkScheduleMix(b *testing.B) {
+	type block struct {
+		g    *dag.Graph
+		opts core.Options
+	}
+	var blocks []block
+	for seed := int64(1); seed <= 100; seed++ {
+		for _, stmts := range []int{20, 60, 200} {
+			g := benchGraph(b, stmts, 10, seed)
+			for _, procs := range []int{4, 8, 16} {
+				opts := core.DefaultOptions(procs)
+				opts.Machine = core.DBM
+				if procs == 4 {
+					opts.Machine = core.SBM
+				}
+				opts.Seed = seed
+				blocks = append(blocks, block{g, opts})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bl := blocks[i%len(blocks)]
+		if _, err := core.ScheduleDAG(bl.g, bl.opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleOptimal measures scheduling with the section 4.4.2
 // optimal insertion algorithm.
 func BenchmarkScheduleOptimal(b *testing.B) {
@@ -334,8 +369,8 @@ func BenchmarkHeights(b *testing.B) {
 }
 
 // BenchmarkInsertBarrier measures incremental barrier insertion into a
-// warm barrier dag (patch + selective memo invalidation), the scheduler's
-// hot mutation.
+// warm barrier dag (node/edge patch plus in-place memo patch), the
+// scheduler's hot mutation.
 func BenchmarkInsertBarrier(b *testing.B) {
 	build := func() (*bdag.Graph, []int) {
 		g := bdag.New([]int{0, 1, 2, 3})
@@ -354,8 +389,8 @@ func BenchmarkInsertBarrier(b *testing.B) {
 			b.StartTimer()
 		}
 		p, q := i%4, (i+1)%4
-		// Keep the memo warm so each insertion exercises selective
-		// invalidation, not cold recomputation.
+		// Keep the memo warm so each insertion exercises the memo patch,
+		// not cold recomputation.
 		g.HasPath(bdag.Initial, tips[p])
 		if _, err := g.Dominators(); err != nil {
 			b.Fatal(err)

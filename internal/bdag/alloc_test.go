@@ -1,6 +1,7 @@
 package bdag
 
 import (
+	"math/rand"
 	"testing"
 
 	"barriermimd/internal/ir"
@@ -54,5 +55,51 @@ func TestAllocsInsertBarrier(t *testing.T) {
 	// patched memo rows), but only a bounded handful per insertion.
 	if allocs > 16 {
 		t.Errorf("InsertBarrier allocates %.1f per run, want <= 16", allocs)
+	}
+}
+
+// TestAllocsInsertBarrierWarmRows pins the in-place memo patch: with the
+// reachability and both longest-path rows of every barrier of a graph of
+// about 100 barriers cached, an insertion plus a re-query of every warmed
+// row allocates only for the new node, never per cached row.
+func TestAllocsInsertBarrierWarmRows(t *testing.T) {
+	const runs = 40
+	rng := rand.New(rand.NewSource(5))
+	m := newTimelineModel(8)
+	m.parts, m.recent = 3, 4
+	for p := range m.tails {
+		m.tails[p] = randTiming(rng, 0, 12)
+	}
+	twin := m.rebuild()
+	for twin.Len() < 100 {
+		m.mutate(rng, twin)
+	}
+	g := m.rebuild()
+	// Record the next insertions on the twin; replayed on g, which has
+	// the same nodes, they create the same node indices.
+	type insertion struct {
+		parts  []int
+		splits []Split
+	}
+	var log []insertion
+	for len(log) <= runs {
+		if parts, splits, ok := m.mutate(rng, twin); ok {
+			log = append(log, insertion{parts, splits})
+		}
+	}
+	n := g.Len()
+	_, _ = g.Dominators()
+	warmRows(g, n)
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		g.InsertBarrier(log[next].parts, log[next].splits)
+		next++
+		warmRows(g, n)
+	})
+	if allocs > 16 {
+		t.Errorf("InsertBarrier with %d warm sources allocates %.1f per insertion and re-query, want <= 16", n, allocs)
+	}
+	if err := diffGraphs(g, m.rebuild()); err != nil {
+		t.Fatal(err)
 	}
 }

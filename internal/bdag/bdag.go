@@ -40,14 +40,14 @@ func (a *arcs) find(v int) (int, bool) {
 // Graph is a barrier dag. Create with New, add barriers with AddBarrier,
 // and contribute per-processor code-region times with AddRegion; a built
 // graph can then be patched in place with the incremental mutations of
-// incremental.go (InsertBarrier, SplitRegion, AddBarrierAfter).
+// incremental.go (InsertBarrier, AddBarrierAfter).
 //
 // Path queries (HasPath, Topo, LongestFrom, Dominators, PathsBetween) are
 // memoized per graph generation — see memo.go. Construction-time mutations
 // (AddBarrier, AddRegion) drop the caches wholesale; the incremental
-// mutations invalidate selectively, keeping every memo row the mutation
-// provably cannot affect. Cached slices are shared between callers: treat
-// every slice returned by a query as read-only.
+// mutations patch the cached rows to their new values. Cached slices are
+// shared between callers and valid until the next mutation: treat every
+// slice returned by a query as read-only.
 type Graph struct {
 	parts [][]int // participants per barrier, sorted
 	out   []arcs  // successor arcs, sorted by target
@@ -393,10 +393,10 @@ func (g *Graph) Ordered(a, b int) bool {
 
 // Topo returns a topological order (initial barrier first), or an error if
 // the graph is cyclic (which indicates a scheduler bug). The order is
-// memoized and shared; do not modify. After an incremental mutation the
-// cached order is patched by insertion when the new constraints allow it,
-// so the order is always valid but not necessarily the one a fresh
-// computation would produce.
+// memoized and shared until the next mutation; do not modify. After an
+// incremental mutation the cached order is patched by insertion when the
+// new constraints allow it, so the order is always valid but not
+// necessarily the one a fresh computation would produce.
 func (g *Graph) Topo() ([]int, error) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -420,9 +420,17 @@ func (g *Graph) computeTopo() ([]int, error) {
 	}
 	order := m.grabInts(n)[:0]
 	for len(ready) > 0 {
-		sort.Ints(ready)
-		v := ready[0]
-		ready = ready[1:]
+		// The smallest ready barrier goes next; ready is unordered, so it
+		// is swap-removed and the list never drifts off m.stack's backing.
+		k := 0
+		for j, x := range ready {
+			if x < ready[k] {
+				k = j
+			}
+		}
+		v := ready[k]
+		ready[k] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 		order = append(order, v)
 		for _, s := range g.out[v].to {
 			indeg[s]--
@@ -431,9 +439,7 @@ func (g *Graph) computeTopo() ([]int, error) {
 			}
 		}
 	}
-	// ready came from m.stack but is not stored back: the ready[1:]
-	// drain advances its start, and m.stack keeps the full-capacity
-	// header. indeg goes back on the freelist.
+	m.stack = ready
 	m.intFree = append(m.intFree, indeg)
 	if len(order) != n {
 		return nil, fmt.Errorf("bdag: cycle detected (%d of %d barriers ordered)", len(order), n)
@@ -452,7 +458,7 @@ func weight(t ir.Timing, useMax bool) int {
 // LongestFrom computes, for every barrier, the longest-path distance from u
 // using maximum (useMax) or minimum edge weights. Unreachable barriers get
 // Unreachable. dist[u] == 0. The vector is memoized per (u, useMax) and
-// shared; do not modify.
+// shared until the next mutation; do not modify.
 func (g *Graph) LongestFrom(u int, useMax bool) ([]int, error) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -501,7 +507,7 @@ func (g *Graph) FireWindows() (min, max []int, err error) {
 // to the initial barrier, using the iterative dataflow algorithm. The
 // initial barrier's idom is itself. Barriers unreachable from the initial
 // barrier get idom -1 (they cannot occur in a valid schedule). The vector
-// is memoized and shared; do not modify.
+// is memoized and shared until the next mutation; do not modify.
 func (g *Graph) Dominators() ([]int, error) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -509,31 +515,25 @@ func (g *Graph) Dominators() ([]int, error) {
 }
 
 // computeDominators runs the iterative dataflow algorithm given a
-// precomputed topological order.
+// precomputed topological order; memo.mu must be held.
 func (g *Graph) computeDominators(order []int) []int {
 	idom := g.memo.grabInts(g.Len())
 	for i := range idom {
 		idom[i] = -1
 	}
 	idom[Initial] = Initial
-	g.refineDominators(order, idom, nil)
+	g.refineDominators(order, idom)
 	return idom
 }
 
-// refineDominators iterates the dataflow equations over the given
-// topological order until fixpoint, updating idom in place. When affected
-// is non-nil only nodes marked in it are recomputed; the others are taken
-// as final inputs (the incremental-dominator patch of incremental.go).
-// memo.mu must be held (the position index uses the memo's scratch).
-func (g *Graph) refineDominators(order, idom []int, affected bitset) {
-	m := &g.memo
-	if cap(m.pos) < g.Len() {
-		m.pos = make([]int, g.Len())
-	}
-	pos := m.pos[:g.Len()]
-	for k, v := range order {
-		pos[v] = k
-	}
+// refineDominators iterates the dataflow equations over nodes, which must
+// be in topological order, until fixpoint, updating idom in place; every
+// other node's entry is taken as a final input. computeDominators passes
+// the whole order, the insertion patch of incremental.go only the new
+// barrier's cone. memo.mu must be held: intersect compares positions in
+// the cached order.
+func (g *Graph) refineDominators(nodes, idom []int) {
+	pos := g.memo.topoPos
 	intersect := func(a, b int) int {
 		for a != b {
 			for pos[a] > pos[b] {
@@ -548,8 +548,8 @@ func (g *Graph) refineDominators(order, idom []int, affected bitset) {
 	changed := true
 	for changed {
 		changed = false
-		for _, v := range order {
-			if v == Initial || (affected != nil && !affected.test(v)) {
+		for _, v := range nodes {
+			if v == Initial {
 				continue
 			}
 			newIdom := -1

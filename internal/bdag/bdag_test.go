@@ -255,6 +255,37 @@ func TestPathsBetweenLimit(t *testing.T) {
 	}
 }
 
+// LongestMinForced is the reference for LongestMinForcedPath: the same
+// ψ*_min relaxation over an arbitrary forced edge set, probed through a
+// map, with a fresh distance vector per call.
+func (g *Graph) LongestMinForced(u, v int, forced map[Edge]bool) (int, error) {
+	order, err := g.Topo()
+	if err != nil {
+		return 0, err
+	}
+	dist := make([]int, g.Len())
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	dist[u] = 0
+	for _, x := range order {
+		if dist[x] == Unreachable {
+			continue
+		}
+		a := &g.out[x]
+		for k, s := range a.to {
+			w := a.agg[k].Min
+			if forced[Edge{x, s}] {
+				w = a.agg[k].Max
+			}
+			if d := dist[x] + w; d > dist[s] {
+				dist[s] = d
+			}
+		}
+	}
+	return dist[v], nil
+}
+
 func TestLongestMinForcedFigure13(t *testing.T) {
 	// The Figure 13 scenario: x=b0 across {0,1,2}; y across {0,1} with
 	// region [5,7] (aggregated); z across {1,2}; PE1 region y→z is [2,2];

@@ -3,10 +3,10 @@ package bdag
 // bitset is a word-packed node set: bit i of word i/64 marks node i. The
 // memoized reachability rows use it instead of []bool so a row costs one
 // word per 64 barriers and set/test/union are single instructions per
-// word. Rows are sized for the graph at computation time and never grown:
-// a node appended later is provably not in any surviving row (see
-// patchLocked), and test bounds-checks so short rows simply answer false
-// for it.
+// word. Rows are sized for the graph when computed; a patch that adds a
+// later node to a row grows it first (see patchLocked), and test
+// bounds-checks, so a row that never gains a later node stays short and
+// answers false for it.
 type bitset []uint64
 
 // newBitset returns an empty set able to hold nodes [0, n).
@@ -21,6 +21,25 @@ func (b bitset) set(i int) { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) test(i int) bool {
 	w := i >> 6
 	return w < len(b) && b[w]&(1<<uint(i&63)) != 0
+}
+
+// grow returns b able to hold nodes [0, n), keeping its members. Words
+// past the old length are cleared: a recycled backing array can carry
+// stale bits beyond len.
+func (b bitset) grow(n int) bitset {
+	words := (n + 63) >> 6
+	if words <= len(b) {
+		return b
+	}
+	if words <= cap(b) {
+		old := len(b)
+		b = b[:words]
+		clear(b[old:])
+		return b
+	}
+	nb := make(bitset, words, words+rowSlack/64+1)
+	copy(nb, b)
+	return nb
 }
 
 // or unions src into b. src may be shorter than b (a row computed on a

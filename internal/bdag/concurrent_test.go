@@ -6,11 +6,12 @@ import (
 )
 
 // TestConcurrentPathQueries hammers one graph with parallel read-side
-// queries. Path enumeration is per-key single-flight: memo.mu only guards
-// the enumerator table, while materialization runs under the enumerator's
+// queries, as experiment workers do on a finished schedule's graph. Path
+// enumeration is per-key single-flight: memo.mu only guards the
+// enumerator table, while materialization runs under the enumerator's
 // own lock, so concurrent queries for the same and different keys must
 // neither race (run under -race in CI) nor disagree with a sequential
-// re-query.
+// re-query. The dense row tables grow under memo.mu as readers fill them.
 func TestConcurrentPathQueries(t *testing.T) {
 	g := randomDag(42)
 	n := g.Len()
@@ -23,6 +24,9 @@ func TestConcurrentPathQueries(t *testing.T) {
 			defer wg.Done()
 			for v := 1; v < n; v++ {
 				g.HasPath(Initial, v)
+				g.HasPath(v, n-1)
+				_, _ = g.LongestFrom(v, w%2 == 0)
+				_, _ = g.Dominators()
 				for j := 0; j <= w%3; j++ {
 					g.NthPath(Initial, v, j)
 				}

@@ -14,16 +14,18 @@
 // The graph supports two kinds of mutation. Construction-time mutations
 // (AddBarrier, AddRegion) build it up region by region and invalidate the
 // memoized queries wholesale — they are only used when deriving a dag from
-// scratch. Maintenance mutations (InsertBarrier, SplitRegion,
-// AddBarrierAfter in incremental.go) patch the node/edge arrays in place
-// for the one structural change a scheduler barrier insertion can make —
-// splitting region edges through one new node — and invalidate
-// selectively: only the memoized reachability/longest-path rows whose
-// source reaches the mutated edges are dropped, the topological order is
-// patched by insertion when possible, and dominators are recomputed only
-// on the subtree reachable from the new node. The expensive queries —
-// topological order, reachability (HasPath), longest min/max paths
-// (LongestFrom), dominators, and the k-path enumeration behind the
-// optimal inserter (PathsBetween) — are memoized on the Graph; CacheStats
-// reports the hit rate and MaintStats the patch/invalidation balance.
+// scratch. Maintenance mutations (InsertBarrier, AddBarrierAfter in
+// incremental.go) patch the node/edge arrays in place for the one
+// structural change a scheduler barrier insertion can make — splitting
+// region edges through one new node w — and patch the memo with them:
+// every cached reachability and longest-path row is raised to its exact
+// new value by a relaxation over w's downstream cone, the topological
+// order takes w by insertion when possible, and dominators are recomputed
+// only on that cone; only path enumerations whose source reaches the split
+// are dropped. The expensive queries — topological order, reachability
+// (HasPath), longest min/max paths (LongestFrom), dominators, and the
+// k-path enumeration behind the optimal inserter (PathsBetween) — are
+// memoized on the Graph; CacheStats reports the hit rate and MaintStats
+// the patch/invalidation balance. A row a query returns is shared and
+// valid until the graph's next mutation; a finished graph never changes.
 package bdag

@@ -1,10 +1,6 @@
 package bdag
 
-import (
-	"fmt"
-
-	"barriermimd/internal/ir"
-)
+import "barriermimd/internal/ir"
 
 // Incremental maintenance (the §4.4.1 observation that inserting a barrier
 // only splits region edges and adds one node). A barrier inserted into a
@@ -14,21 +10,32 @@ import (
 // to edge (Prev, Next) is withdrawn and re-contributed as (Prev, w) and
 // (w, Next). Everything else in the graph is untouched, so instead of
 // rebuilding — and losing every memoized path query — the node/edge arrays
-// are patched in place and only the memo rows the mutation can actually
-// affect are dropped:
+// are patched in place and so is the memo.
 //
-//   - reachability and longest-path rows survive unless their source
-//     reaches one of the split openings (all new and changed edges leave a
-//     Prev or w, so a source that cannot reach them sees an identical
-//     graph);
-//   - the topological order is patched by inserting w right after its last
-//     predecessor when the cached order already separates w's predecessors
-//     from its successors, and recomputed otherwise;
-//   - dominators are recomputed only on the subtree reachable from w (all
-//     new paths pass through w, and the only possible edge deletions —
-//     a (Prev, Next) whose last contribution was withdrawn — point at a
-//     Next that w now precedes), seeding the dataflow iteration with the
-//     untouched nodes' final values.
+// The memo patch is exact because the two halves of a split sum to the
+// withdrawn contribution and aggregates are maxima of contributions: every
+// old path has a new path at least as long, no distance or reachability
+// shrinks, and every new path runs through w. So each cached row becomes
+// max(old row, paths through w), and only rows whose source reaches some
+// Prev change:
+//
+//   - a reachability row gains reach(w), which is {w} plus the rows of the
+//     splits' Nexts (exact, since no Next reaches a Prev — WouldCycle
+//     refuses that insertion) and is cached as w's own row;
+//   - a longest-path row gets w's value from its predecessors and a
+//     max-relaxation over reach(w), w's downstream cone, in topological
+//     order; a row whose source reaches no Prev just gains an Unreachable
+//     entry for w;
+//   - the topological order takes w right after its last predecessor when
+//     that position precedes all its successors, and is recomputed
+//     otherwise;
+//   - dominators are recomputed only on the cone (all new paths pass
+//     through w, and the only possible edge deletions — a (Prev, Next)
+//     whose last contribution was withdrawn — point at a Next that w now
+//     precedes), seeded with the untouched nodes' final values.
+//
+// Path enumerations (PathsBetween, NthPath) are not patched: those whose
+// source reaches a Prev are dropped.
 
 // NoBarrier marks the absent Next of a trailing region in a Split.
 const NoBarrier = -1
@@ -49,8 +56,8 @@ type Split struct {
 // InsertBarrier patches a new barrier with the given participants into the
 // graph, splitting one region per entry of splits, and returns the new
 // node's index. The caller must ensure the mutation keeps the graph
-// acyclic (WouldCycle performs exactly that check). Memo entries are
-// invalidated selectively; see the package comment above.
+// acyclic (WouldCycle performs exactly that check). The memo is patched
+// in place; see the comment above.
 func (g *Graph) InsertBarrier(participants []int, splits []Split) int {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
@@ -58,20 +65,8 @@ func (g *Graph) InsertBarrier(participants []int, splits []Split) int {
 	for _, sp := range splits {
 		g.applySplit(w, sp)
 	}
-	g.patchLocked(w, true, splits)
+	g.patchLocked(w, splits)
 	return w
-}
-
-// SplitRegion reroutes one additional processor's region between barrier
-// nodes sp.Prev and sp.Next through the existing barrier w, withdrawing
-// the processor's old contribution to (sp.Prev, sp.Next) and contributing
-// sp.ToNew and sp.FromNew to the edges around w. Memo entries are
-// invalidated selectively.
-func (g *Graph) SplitRegion(w int, sp Split) {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	g.applySplit(w, sp)
-	g.patchLocked(w, false, []Split{sp})
 }
 
 // AddBarrierAfter patches a new barrier into the graph whose only incoming
@@ -113,38 +108,30 @@ func (g *Graph) applySplit(w int, sp Split) {
 	g.addContrib(sp.Prev, w, sp.ToNew)
 }
 
-// patchLocked selectively invalidates the memo after barrier w gained the
-// given splits; memo.mu must be held. isNew reports that w was created by
-// this mutation (so cached vectors are one entry short and must be
-// extended).
-func (g *Graph) patchLocked(w int, isNew bool, splits []Split) {
+// patchLocked brings the memo up to date after the new barrier w gained
+// the given splits; memo.mu must be held.
+func (g *Graph) patchLocked(w int, splits []Split) {
 	m := &g.memo
 	m.maint.Patches++
 
-	// dirty holds the sources of every new or changed edge: each split's
-	// Prev (edges (Prev,w) added, (Prev,Next) changed or removed) and, for
-	// a pre-existing w, w itself (edges (w,Next) added). A memoized row
-	// whose source reaches none of them cannot see the mutation. For a
-	// brand-new w no old row can reach it, so the Prevs alone decide.
-	dirty := m.dirty[:0]
+	// The Prevs are the sources of every new or changed edge ((Prev, w)
+	// added, (Prev, Next) changed or removed; w's own edges are only
+	// reachable through them). A row whose source reaches none of them
+	// sees the mutation only as one more unreachable node.
+	prevs := m.prevs[:0]
 	for _, sp := range splits {
-		dirty = append(dirty, sp.Prev)
+		prevs = append(prevs, sp.Prev)
 	}
-	if !isNew {
-		dirty = append(dirty, w)
-	}
-	m.dirty = dirty
+	m.prevs = prevs
 
-	// Path enumerations first, judged by the still-intact reachability
-	// rows: an enumeration whose source u cannot reach a dirty node only
-	// ever walks adjacency the mutation did not touch (all changed edges
-	// leave a dirty node, and the new node is unreachable from u), so its
-	// ranked prefix and generator state stay exact. With no cached row for
-	// u the entry is dropped conservatively rather than paying a traversal
-	// inside the patch.
+	// Path enumerations, judged by the reachability rows: an enumeration
+	// whose source u cannot reach a Prev only ever walks adjacency the
+	// mutation did not touch, so its ranked prefix and generator state
+	// stay exact. With no cached row for u the entry is dropped
+	// conservatively rather than paying a traversal inside the patch.
 	for key, e := range m.enums {
 		r := m.reachRow(key.u)
-		if r == nil || r.testAny(dirty) {
+		if r == nil || r.testAny(prevs) {
 			m.freeEnum(e)
 			delete(m.enums, key)
 			m.maint.DroppedRows++
@@ -153,147 +140,161 @@ func (g *Graph) patchLocked(w int, isNew bool, splits []Split) {
 		m.maint.KeptRows++
 	}
 
-	// Reachability rows: the cached row itself tells whether its source
-	// reaches a dirty node (reachability *to* the dirty nodes is untouched
-	// by the mutation, which only adds edges out of them). Dropped rows
-	// are nil-ed in place and parked on the bitset freelist — reach rows
-	// never leave the package (HasPath returns a bool and the patch
-	// helpers read them under memo.mu), so no caller can hold one across
-	// the mutation. Survivors need no extension because bitset.test
-	// bounds-checks, and a surviving row provably cannot reach the new
-	// node.
+	// Reachability rows gain reach(w) when their source reaches a Prev.
+	// computeReach short-circuits through the Nexts' rows, which the
+	// mutation leaves exact, and reach(w) is cached as w's own row.
+	order := g.patchTopoLocked(w)
+	n := g.Len()
+	rw := g.computeReach(w)
 	for src, r := range m.reach {
 		if r == nil {
 			continue
 		}
-		if r.testAny(dirty) {
-			m.bsFree = append(m.bsFree, r)
-			m.reach[src] = nil
-			m.maint.DroppedRows++
-			continue
-		}
 		m.maint.KeptRows++
+		if r.testAny(prevs) {
+			r = r.grow(n)
+			r.or(rw)
+			m.reach[src] = r
+		}
 	}
+	m.reach = sized(m.reach, n)
+	m.reach[w] = rw
 
-	// Longest-path rows: a source reaches a node exactly when its distance
-	// is not Unreachable. Surviving rows are extended with an Unreachable
-	// entry for the new node (callers index them by barrier id); append
-	// never rewrites the visible prefix a prior caller may hold.
-	for key, d := range m.dist {
-		drop := false
-		for _, x := range dirty {
-			if d[x] != Unreachable {
-				drop = true
-				break
+	// The cone: reach(w) in topological order, w first. Without an order
+	// the longest-path rows that need it are dropped instead.
+	var cone []int
+	if order != nil {
+		cone = m.cone[:0]
+		for _, x := range order[m.topoPos[w]:] {
+			if rw.test(x) {
+				cone = append(cone, x)
 			}
 		}
-		if drop {
-			delete(m.dist, key)
-			m.maint.DroppedRows++
-			continue
-		}
-		m.maint.KeptRows++
-		if isNew {
-			m.dist[key] = append(d, Unreachable)
+		m.cone = cone
+	}
+	for _, useMax := range [2]bool{false, true} {
+		tbl := *m.distTable(useMax)
+		for src, d := range tbl {
+			if d == nil {
+				continue
+			}
+			affected := false
+			for _, x := range prevs {
+				if d[x] != Unreachable {
+					affected = true
+					break
+				}
+			}
+			if affected && order == nil {
+				m.intFree = append(m.intFree, d)
+				tbl[src] = nil
+				m.maint.DroppedRows++
+				continue
+			}
+			m.maint.KeptRows++
+			d = append(d, Unreachable)
+			if affected {
+				g.relaxCone(d, cone, useMax)
+			}
+			tbl[src] = d
 		}
 	}
 
-	g.patchTopoLocked(w, isNew)
-	g.patchDomLocked(w)
+	g.patchDomLocked(cone)
 }
 
-// patchTopoLocked keeps the cached topological order valid after barrier w
-// gained edges. When every cached predecessor position precedes every
-// cached successor position, w slots in right after its last predecessor;
-// otherwise the order is recomputed. memo.mu must be held.
-func (g *Graph) patchTopoLocked(w int, isNew bool) {
+// relaxCone raises the longest-path row d, already extended by an entry
+// for the cone's first node w, to its post-insertion value: w's distance
+// over its predecessors, then a max-relaxation of the cone's out-edges in
+// topological order. Aggregated edge weights are used throughout — two
+// splits can share one Prev, and the aggregate is what a fresh
+// computation would read.
+func (g *Graph) relaxCone(d, cone []int, useMax bool) {
+	w := cone[0]
+	for _, u := range g.in[w] {
+		if d[u] == Unreachable {
+			continue
+		}
+		a := &g.out[u]
+		k, _ := a.find(w)
+		if c := d[u] + weight(a.agg[k], useMax); c > d[w] {
+			d[w] = c
+		}
+	}
+	for _, x := range cone {
+		if d[x] == Unreachable {
+			continue
+		}
+		a := &g.out[x]
+		for k, v := range a.to {
+			if c := d[x] + weight(a.agg[k], useMax); c > d[v] {
+				d[v] = c
+			}
+		}
+	}
+}
+
+// patchTopoLocked keeps the cached topological order valid after the new
+// barrier w gained its edges and returns it, or nil when no valid order
+// is cached. When every predecessor position precedes every successor
+// position, w slots in right after its last predecessor and the position
+// index shifts past it; otherwise the order is recomputed. memo.mu must
+// be held.
+func (g *Graph) patchTopoLocked(w int) []int {
 	m := &g.memo
 	if !m.topoSet {
-		return
+		return nil
 	}
 	if m.topoErr != nil {
 		// A cached cycle error cannot be patched; recompute lazily.
 		m.topoSet, m.topo, m.topoErr = false, nil, nil
-		return
+		return nil
 	}
-	if cap(m.pos) < g.Len() {
-		m.pos = make([]int, g.Len())
-	}
-	pos := m.pos[:g.Len()]
-	for i := range pos {
-		pos[i] = -1
-	}
-	for k, v := range m.topo {
-		pos[v] = k
-	}
+	pos := m.topoPos
 	maxPred, minSucc := -1, len(m.topo)
 	for _, u := range g.in[w] {
-		if pos[u] > maxPred {
-			maxPred = pos[u]
-		}
+		maxPred = max(maxPred, pos[u])
 	}
 	for _, v := range g.out[w].to {
-		if pos[v] < minSucc {
-			minSucc = pos[v]
+		minSucc = min(minSucc, pos[v])
+	}
+	if maxPred >= minSucc {
+		m.intFree = append(m.intFree, m.topo)
+		g.recomputeTopoLocked()
+		if m.topoErr != nil {
+			return nil
 		}
+		return m.topo
 	}
-	if !isNew {
-		// w already sits in the order; valid iff it separates its
-		// predecessors from its successors.
-		if maxPred < pos[w] && pos[w] < minSucc {
-			return
-		}
-		m.topo, m.topoErr = g.computeTopo()
-		return
+	k := maxPred + 1
+	order := append(m.topo, 0)
+	copy(order[k+1:], order[k:])
+	order[k] = w
+	m.topo = order
+	pos = append(pos, 0)
+	for i := k; i < len(order); i++ {
+		pos[order[i]] = i
 	}
-	if maxPred < minSucc {
-		order := m.grabInts(len(m.topo) + 1)[:0]
-		order = append(order, m.topo[:maxPred+1]...)
-		order = append(order, w)
-		order = append(order, m.topo[maxPred+1:]...)
-		m.topo = order
-		return
-	}
-	m.topo, m.topoErr = g.computeTopo()
+	m.topoPos = pos
+	return order
 }
 
-// patchDomLocked recomputes immediate dominators on the subtree reachable
-// from w, keeping every other node's value. All new paths created by the
-// mutation pass through w, and the only edges the mutation can delete
-// point at barriers w now reaches, so dominators outside w's reach cone
-// are unchanged. memo.mu must be held.
-func (g *Graph) patchDomLocked(w int) {
+// patchDomLocked recomputes immediate dominators on the cone, in place,
+// keeping every other node's value; a nil cone (no valid cached order)
+// drops them instead. memo.mu must be held.
+func (g *Graph) patchDomLocked(cone []int) {
 	m := &g.memo
 	if !m.idomSet {
 		return
 	}
-	if m.idomErr != nil {
+	if m.idomErr != nil || cone == nil {
 		m.idomSet, m.idom, m.idomErr = false, nil, nil
 		return
 	}
-	order, err := g.topoLocked()
-	if err != nil {
-		// The caller created a cycle; surface it on the next query.
-		m.idomSet, m.idom, m.idomErr = false, nil, nil
-		return
+	idom := append(m.idom, -1)
+	for _, v := range cone {
+		idom[v] = -1
 	}
-	affected := g.computeReach(w)
-	// A fresh vector, not an in-place edit: callers holding the old idom
-	// slice keep their pre-mutation view. Entries past the old length
-	// (the new node w) are always in affected, so the -1 pass below
-	// initializes them.
-	idom := m.grabInts(g.Len())
-	copy(idom, m.idom)
-	for v := range idom {
-		if affected.test(v) {
-			idom[v] = -1
-		}
-	}
-	if w == Initial {
-		panic(fmt.Sprintf("bdag: barrier %d cannot be the initial barrier", w))
-	}
-	idom[Initial] = Initial
-	g.refineDominators(order, idom, affected)
+	g.refineDominators(cone, idom)
 	m.idom = idom
-	m.bsFree = append(m.bsFree, affected)
 }

@@ -3,6 +3,7 @@ package bdag
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"barriermimd/internal/ir"
@@ -23,6 +24,11 @@ type timelineModel struct {
 	// steps followed by a trailing region timing.
 	seqs  [][]step
 	tails []ir.Timing
+	// parts caps the participants of one insertion (0 = any number), and
+	// recent, when > 0, lands each split within the last recent regions
+	// of its processor, as the scheduler's insertions do; together they
+	// keep long runs from being rejected as cyclic.
+	parts, recent int
 }
 
 type step struct {
@@ -46,8 +52,17 @@ func allProcs(n int) []int {
 	return out
 }
 
-func (m *timelineModel) rebuild() *Graph {
-	g := New(allProcs(m.nprocs))
+func (m *timelineModel) rebuild() *Graph { return m.rebuildInto(nil) }
+
+// rebuildInto is rebuild into arena, which is Reset first; a nil arena
+// gets a fresh graph.
+func (m *timelineModel) rebuildInto(arena *Graph) *Graph {
+	g := arena
+	if g == nil {
+		g = New(allProcs(m.nprocs))
+	} else {
+		g.Reset(allProcs(m.nprocs))
+	}
 	for _, parts := range m.barriers {
 		g.AddBarrier(parts)
 	}
@@ -77,10 +92,13 @@ func splitTiming(rng *rand.Rand, t ir.Timing) (ir.Timing, ir.Timing) {
 }
 
 // mutate applies one random barrier insertion to both the model and the
-// incrementally maintained graph, returning false if the placement was
-// rejected as cyclic.
-func (m *timelineModel) mutate(rng *rand.Rand, g *Graph) bool {
+// incrementally maintained graph, returning the inserted participants and
+// splits, or ok == false if the placement was rejected as cyclic.
+func (m *timelineModel) mutate(rng *rand.Rand, g *Graph) (parts []int, splits []Split, ok bool) {
 	k := 1 + rng.Intn(m.nprocs)
+	if m.parts > 0 {
+		k = 1 + rng.Intn(m.parts)
+	}
 	procs := append([]int(nil), allProcs(m.nprocs)...)
 	rng.Shuffle(len(procs), func(a, b int) { procs[a], procs[b] = procs[b], procs[a] })
 	procs = procs[:k]
@@ -93,9 +111,11 @@ func (m *timelineModel) mutate(rng *rand.Rand, g *Graph) bool {
 		toNew, fromNew ir.Timing
 	}
 	var plans []plan
-	var splits []Split
 	for _, p := range procs {
 		pos := rng.Intn(len(m.seqs[p]) + 1)
+		if m.recent > 0 {
+			pos = len(m.seqs[p]) - rng.Intn(min(m.recent, len(m.seqs[p])+1))
+		}
 		prev := Initial
 		if pos > 0 {
 			prev = m.seqs[p][pos-1].bar
@@ -113,7 +133,7 @@ func (m *timelineModel) mutate(rng *rand.Rand, g *Graph) bool {
 	}
 
 	if g.WouldCycle(splits) {
-		return false
+		return nil, nil, false
 	}
 	sortedProcs := append([]int(nil), procs...)
 	for i := range sortedProcs {
@@ -137,7 +157,7 @@ func (m *timelineModel) mutate(rng *rand.Rand, g *Graph) bool {
 		m.seqs[pl.p] = append(m.seqs[pl.p][:pl.pos],
 			append([]step{{t: pl.toNew, bar: w}, {t: pl.fromNew, bar: next}}, rest...)...)
 	}
-	return true
+	return sortedProcs, splits, true
 }
 
 // diffGraphs compares every observable of the two graphs.
@@ -148,12 +168,12 @@ func diffGraphs(got, want *Graph) error {
 	n := want.Len()
 	for b := 0; b < n; b++ {
 		gp, wp := got.Participants(b), want.Participants(b)
-		if fmt.Sprint(gp) != fmt.Sprint(wp) {
+		if !slices.Equal(gp, wp) {
 			return fmt.Errorf("node %d participants %v vs %v", b, gp, wp)
 		}
 	}
 	ge, we := got.Edges(), want.Edges()
-	if fmt.Sprint(ge) != fmt.Sprint(we) {
+	if !slices.Equal(ge, we) {
 		return fmt.Errorf("edges %v vs %v", ge, we)
 	}
 	for _, e := range we {
@@ -163,12 +183,15 @@ func diffGraphs(got, want *Graph) error {
 			return fmt.Errorf("edge %v timing %v/%v vs %v/%v", e, gt, gok, wt, wok)
 		}
 	}
+	if err := checkTopo(got); err != nil {
+		return err
+	}
 	gd, gerr := got.Dominators()
 	wd, werr := want.Dominators()
 	if (gerr == nil) != (werr == nil) {
 		return fmt.Errorf("dominator error %v vs %v", gerr, werr)
 	}
-	if gerr == nil && fmt.Sprint(gd) != fmt.Sprint(wd) {
+	if gerr == nil && !slices.Equal(gd, wd) {
 		return fmt.Errorf("dominators %v vs %v", gd, wd)
 	}
 	gmin, gmax, gerr := got.FireWindows()
@@ -176,7 +199,7 @@ func diffGraphs(got, want *Graph) error {
 	if (gerr == nil) != (werr == nil) {
 		return fmt.Errorf("fire-window error %v vs %v", gerr, werr)
 	}
-	if gerr == nil && (fmt.Sprint(gmin) != fmt.Sprint(wmin) || fmt.Sprint(gmax) != fmt.Sprint(wmax)) {
+	if gerr == nil && (!slices.Equal(gmin, wmin) || !slices.Equal(gmax, wmax)) {
 		return fmt.Errorf("fire windows [%v %v] vs [%v %v]", gmin, gmax, wmin, wmax)
 	}
 	for u := 0; u < n; u++ {
@@ -188,9 +211,37 @@ func diffGraphs(got, want *Graph) error {
 		for _, useMax := range []bool{false, true} {
 			gl, gerr := got.LongestFrom(u, useMax)
 			wl, werr := want.LongestFrom(u, useMax)
-			if (gerr == nil) != (werr == nil) || fmt.Sprint(gl) != fmt.Sprint(wl) {
+			if (gerr == nil) != (werr == nil) || !slices.Equal(gl, wl) {
 				return fmt.Errorf("LongestFrom(%d,%v) %v vs %v", u, useMax, gl, wl)
 			}
+		}
+	}
+	return nil
+}
+
+// checkTopo reports whether g's cached order is a topological order of
+// its current edges.
+func checkTopo(g *Graph) error {
+	order, err := g.Topo()
+	if err != nil {
+		return err
+	}
+	if len(order) != g.Len() {
+		return fmt.Errorf("order has %d of %d barriers", len(order), g.Len())
+	}
+	pos := make([]int, g.Len())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for k, v := range order {
+		if pos[v] >= 0 {
+			return fmt.Errorf("barrier %d twice in order %v", v, order)
+		}
+		pos[v] = k
+	}
+	for _, e := range g.Edges() {
+		if pos[e.From] > pos[e.To] {
+			return fmt.Errorf("edge %v runs backwards in order %v", e, order)
 		}
 	}
 	return nil
@@ -216,73 +267,94 @@ func warm(rng *rand.Rand, g *Graph) {
 // through InsertBarrier with a warm memo and asserts after every mutation
 // that the patched graph is observationally identical — nodes, edges,
 // timings, reachability, longest paths, dominators, fire windows — to a
-// graph rebuilt from scratch by the construction API.
+// graph rebuilt from scratch by the construction API. The large runs
+// grow past 64 and 128 barriers, so patched reachability rows cross
+// bitset words, on up to 16 processors; they warm every row before each
+// mutation so every row is patched, not recomputed.
 func TestIncrementalMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			nprocs := 2 + rng.Intn(5)
-			m := newTimelineModel(nprocs)
-			g := m.rebuild()
-			for p := range m.tails {
-				m.tails[p] = randTiming(rng, 0, 12)
-			}
-			for step := 0; step < 25; step++ {
-				warm(rng, g)
-				if !m.mutate(rng, g) {
-					continue
-				}
-				if err := diffGraphs(g, m.rebuild()); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-			}
-			maint := g.MaintStats()
-			if maint.Patches == 0 {
-				t.Fatal("no patches recorded")
-			}
-			if maint.KeptRows == 0 {
-				t.Error("selective invalidation never kept a row")
+			g := checkIncremental(t, rng, newTimelineModel(2+rng.Intn(5)), nil, 25, warm)
+			if g.MaintStats().KeptRows == 0 {
+				t.Error("incremental maintenance never kept a row")
 			}
 		})
 	}
+	for _, tc := range []struct{ seed, procs, steps, want int }{
+		{100, 4, 160, 64},
+		{101, 8, 260, 128},
+		{102, 16, 240, 128},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("large-seed%d-p%d", tc.seed, tc.procs), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.seed)))
+			m := newTimelineModel(tc.procs)
+			m.parts, m.recent = 3, 4
+			g := checkIncremental(t, rng, m, nil, tc.steps, warmAll)
+			if g.Len() <= tc.want {
+				t.Errorf("graph reached only %d barriers, want > %d", g.Len(), tc.want)
+			}
+		})
+	}
+	// Reset parks the rows of a large generation for reuse, with their
+	// members past the new rows' length still set; growing such a row
+	// across a bitset word must not resurrect them.
+	t.Run("reset-arena", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(103))
+		big := newTimelineModel(8)
+		big.parts, big.recent = 3, 4
+		g := checkIncremental(t, rng, big, nil, 160, warmAll)
+		small := newTimelineModel(8)
+		small.parts, small.recent = 3, 4
+		if g = checkIncremental(t, rng, small, g, 160, warmAll); g.Len() <= 64 {
+			t.Errorf("second generation reached only %d barriers, want > 64", g.Len())
+		}
+	})
 }
 
-// TestSplitRegionMatchesRebuild exercises the SplitRegion entry point:
-// rerouting one more processor's region through an existing barrier must
-// match the rebuilt graph too.
-func TestSplitRegionMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := newTimelineModel(3)
+// checkIncremental builds the model's graph (into arena when non-nil),
+// runs up to steps random insertions, calling warmUp before each one, and
+// compares the patched graph with a rebuild after every insertion.
+func checkIncremental(t *testing.T, rng *rand.Rand, m *timelineModel, arena *Graph, steps int, warmUp func(*rand.Rand, *Graph)) *Graph {
+	t.Helper()
 	for p := range m.tails {
-		m.tails[p] = randTiming(rng, 1, 10)
+		m.tails[p] = randTiming(rng, 0, 12)
 	}
-	g := m.rebuild()
+	g := m.rebuildInto(arena)
+	for step := 0; step < steps; step++ {
+		warmUp(rng, g)
+		if _, _, ok := m.mutate(rng, g); !ok {
+			continue
+		}
+		if err := diffGraphs(g, m.rebuild()); err != nil {
+			t.Fatalf("step %d (%d barriers): %v", step, g.Len(), err)
+		}
+	}
+	if g.MaintStats().Patches == 0 {
+		t.Fatal("no patches recorded")
+	}
+	return g
+}
 
-	// Give each processor a private barrier first.
-	for p := 0; p < 3; p++ {
-		toNew, rest := splitTiming(rng, m.tails[p])
-		w := g.InsertBarrier([]int{p}, []Split{{Prev: Initial, Next: NoBarrier, ToNew: toNew}})
-		m.barriers = append(m.barriers, []int{p})
-		m.seqs[p] = append(m.seqs[p], step{t: toNew, bar: w})
-		m.tails[p] = rest
-	}
-	if err := diffGraphs(g, m.rebuild()); err != nil {
-		t.Fatal(err)
-	}
+// warmAll caches the order, the dominators, and the reachability and both
+// longest-path rows of every barrier, plus one path enumeration.
+func warmAll(rng *rand.Rand, g *Graph) {
+	n := g.Len()
+	_, _ = g.Topo()
+	_, _ = g.Dominators()
+	warmRows(g, n)
+	g.PathsBetween(Initial, rng.Intn(n), 4)
+}
 
-	// Now reroute processor 1's trailing region through processor 0's
-	// barrier (a participant change is out of scope: the model keeps the
-	// original participant sets on both sides, so the rebuilt graph
-	// matches).
-	w := m.seqs[0][0].bar
-	warm(rng, g)
-	toNew, rest := splitTiming(rng, m.tails[1])
-	g.SplitRegion(w, Split{Prev: m.seqs[1][0].bar, Next: NoBarrier, ToNew: toNew})
-	m.seqs[1] = append(m.seqs[1], step{t: toNew, bar: w})
-	m.tails[1] = rest
-	if err := diffGraphs(g, m.rebuild()); err != nil {
-		t.Fatal(err)
+// warmRows queries the reachability and both longest-path rows of
+// barriers [0, n).
+func warmRows(g *Graph, n int) {
+	for u := 0; u < n; u++ {
+		g.HasPath(u, (u+1)%g.Len())
+		_, _ = g.LongestFrom(u, false)
+		_, _ = g.LongestFrom(u, true)
 	}
 }
 

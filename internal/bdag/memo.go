@@ -11,30 +11,25 @@ import (
 // common dominator, every insertion re-verifies all pending pairs through
 // HasPath, and the optimal inserter ranks k-longest paths. All of these
 // are memoized here. Construction-time mutations (AddBarrier, AddRegion)
-// invalidate wholesale; the incremental mutations of incremental.go
-// invalidate selectively, dropping only the rows whose source can reach
-// the mutated edges and keeping everything else. Repeated queries then
-// cost O(1) instead of a fresh traversal — across mutations, not just
-// between them.
+// invalidate wholesale; InsertBarrier (incremental.go) patches every
+// reachability, longest-path, order and dominator row to its
+// post-insertion value and drops only the path enumerations the new node
+// can touch. Repeated queries then cost O(1) instead of a fresh traversal
+// — across mutations, not just between them.
 //
-// Cached results (topological orders, distance vectors, reachability
-// sets, path lists) are returned as shared slices; callers must treat
-// them as read-only. Patch operations never mutate the visible prefix of
-// a cached slice in place: entries are replaced, appended to, or dropped,
-// so a caller holding a slice across a mutation still sees the
-// pre-mutation view.
+// Cached results (topological orders, distance vectors, dominators, path
+// lists) are returned as shared slices; callers must treat them as
+// read-only. A returned row is valid until the graph's next mutation,
+// which may patch it in place, grow it, or recycle its storage: read it
+// at once or copy it. Only the scheduler mutates a graph, and a finished
+// graph never changes, so concurrent readers of a finished schedule can
+// share rows freely.
 //
 // Path enumerations are the exception to the "computed under memo.mu"
 // rule: memo.mu only guards the per-(u,v) enumeration entry table, and
 // the lazy best-first generation itself runs under the entry's own lock
 // (per-key single-flight). Concurrent readers of a finished graph
 // therefore never serialize one pair's path search behind another's.
-
-// distKey identifies one LongestFrom result.
-type distKey struct {
-	src    int
-	useMax bool
-}
 
 // pathKey identifies one lazy path enumeration.
 type pathKey struct {
@@ -50,28 +45,32 @@ type memo struct {
 	topoSet bool
 	topo    []int
 	topoErr error
+	// topoPos[v] is v's index in topo, kept alongside it while topo is set
+	// without error: the order patch and the dominator walk read it.
+	topoPos []int
 
 	idomSet bool
 	idom    []int
 	idomErr error
 
-	// reach[u] is the word-packed reachability set of u, nil when not
-	// cached. Indexed densely by source so invalidation never rebuilds a
-	// map; dropped rows are nil-ed in place.
-	reach []bitset
-	dist  map[distKey][]int
-	enums map[pathKey]*pathEnum
+	// reach[u] is the word-packed reachability set of u, and dmin[u] and
+	// dmax[u] are u's LongestFrom rows under minimum and maximum weights;
+	// nil when not cached. Indexed densely by source so a patch walks
+	// them without a map and a drop nils the entry in place.
+	reach      []bitset
+	dmin, dmax [][]int
+	enums      map[pathKey]*pathEnum
 
-	// stack, pos, and dirty are traversal scratch reused by the
+	// stack, prevs, and cone are traversal scratch reused by the
 	// compute/patch helpers; all are only touched with mu held.
 	stack []int
-	pos   []int
-	dirty []int
+	prevs []int
+	cone  []int
 
 	// intFree, bsFree, and enumFree are freelists of dead memo state, fed
 	// by reset when an arena graph starts a new generation (and by the
-	// patch helpers for rows nothing outside the package can hold) and
-	// drained by the compute helpers. Only touched with mu held.
+	// patch helpers for rows they replace or drop) and drained by the
+	// compute helpers. Only touched with mu held.
 	intFree  [][]int
 	bsFree   []bitset
 	enumFree []*pathEnum
@@ -89,7 +88,10 @@ func (m *memo) invalidate() {
 	m.idomSet, m.idom, m.idomErr = false, nil, nil
 	clear(m.reach)
 	m.reach = m.reach[:0]
-	clear(m.dist)
+	clear(m.dmin)
+	m.dmin = m.dmin[:0]
+	clear(m.dmax)
+	m.dmax = m.dmax[:0]
 	for k, e := range m.enums {
 		m.freeEnum(e)
 		delete(m.enums, k)
@@ -108,10 +110,15 @@ func (m *memo) reset() {
 	if m.idom != nil {
 		m.intFree = append(m.intFree, m.idom)
 	}
-	for k, d := range m.dist {
-		m.intFree = append(m.intFree, d)
-		delete(m.dist, k)
+	for _, tbl := range [2][][]int{m.dmin, m.dmax} {
+		for i, d := range tbl {
+			if d != nil {
+				m.intFree = append(m.intFree, d)
+				tbl[i] = nil
+			}
+		}
 	}
+	m.dmin, m.dmax = m.dmin[:0], m.dmax[:0]
 	for i, r := range m.reach {
 		if r != nil {
 			m.bsFree = append(m.bsFree, r)
@@ -146,9 +153,10 @@ func (m *memo) freeEnum(e *pathEnum) {
 
 // grabInts returns a length-n []int recycled from the freelist when
 // possible (contents undefined); memo.mu must be held. Fresh rows carry
-// slack beyond n: the graph gains one node per inserted barrier, so an
-// exact-size row harvested from generation g would be too small for every
-// generation after g and the freelist would never hit.
+// slack beyond n: the graph gains one node per inserted barrier, which a
+// patched row absorbs in place, and an exact-size row harvested from
+// generation g would be too small for every generation after g, so the
+// freelist would never hit.
 func (m *memo) grabInts(n int) []int {
 	for len(m.intFree) > 0 {
 		d := m.intFree[len(m.intFree)-1]
@@ -207,9 +215,26 @@ func (g *Graph) topoLocked() ([]int, error) {
 		return m.topo, m.topoErr
 	}
 	m.stats.Misses++
+	g.recomputeTopoLocked()
+	return m.topo, m.topoErr
+}
+
+// recomputeTopoLocked caches a freshly computed order together with its
+// position index; memo.mu must be held.
+func (g *Graph) recomputeTopoLocked() {
+	m := &g.memo
 	m.topo, m.topoErr = g.computeTopo()
 	m.topoSet = true
-	return m.topo, m.topoErr
+	if m.topoErr != nil {
+		return
+	}
+	if cap(m.topoPos) < len(m.topo) {
+		m.topoPos = make([]int, len(m.topo), len(m.topo)+rowSlack)
+	}
+	m.topoPos = m.topoPos[:len(m.topo)]
+	for k, v := range m.topo {
+		m.topoPos[v] = k
+	}
 }
 
 // idomLocked returns the cached immediate-dominator vector; memo.mu must
@@ -236,9 +261,7 @@ func (g *Graph) idomLocked() ([]int, error) {
 // memo.mu must be held.
 func (g *Graph) reachLocked(u int) bitset {
 	m := &g.memo
-	for len(m.reach) < g.Len() {
-		m.reach = append(m.reach, nil)
-	}
+	m.reach = sized(m.reach, g.Len())
 	if r := m.reach[u]; r != nil {
 		m.stats.Hits++
 		return r
@@ -258,16 +281,30 @@ func (m *memo) reachRow(u int) bitset {
 	return nil
 }
 
+// sized returns table extended with nil rows to n entries.
+func sized[T any](table []T, n int) []T {
+	if n <= len(table) {
+		return table
+	}
+	return append(table, make([]T, n-len(table))...)
+}
+
+// distTable returns the LongestFrom row table for one weight choice.
+func (m *memo) distTable(useMax bool) *[][]int {
+	if useMax {
+		return &m.dmax
+	}
+	return &m.dmin
+}
+
 // distLocked returns the cached LongestFrom vector; memo.mu must be held.
 // Errors (a cyclic graph) are not cached: they indicate a scheduler bug
 // and abort the run anyway.
 func (g *Graph) distLocked(src int, useMax bool) ([]int, error) {
 	m := &g.memo
-	key := distKey{src, useMax}
-	if m.dist == nil {
-		m.dist = make(map[distKey][]int)
-	}
-	if d, ok := m.dist[key]; ok {
+	tbl := m.distTable(useMax)
+	*tbl = sized(*tbl, g.Len())
+	if d := (*tbl)[src]; d != nil {
 		m.stats.Hits++
 		return d, nil
 	}
@@ -277,7 +314,7 @@ func (g *Graph) distLocked(src int, useMax bool) ([]int, error) {
 		return nil, err
 	}
 	d := g.computeLongestFrom(order, src, useMax)
-	m.dist[key] = d
+	(*tbl)[src] = d
 	return d, nil
 }
 

@@ -334,11 +334,11 @@ func (sc *Scratch) grow(n int) {
 // minimum edge weights, except that the edges of path use their maximum
 // weight — the ψ*_min computation of section 4.4.2 for one ψ^j_max path
 // (edges overlapping the producer's path are assumed to take maximum
-// time). Returns Unreachable if v is not reachable from u. It is the
-// allocation-free form of LongestMinForced for the optimal inserter's
-// hot loop: sc provides the distance vector and the forced-successor
-// marks, and a path visits each barrier at most once, so membership is a
-// single indexed load instead of a map probe.
+// time). Returns Unreachable if v is not reachable from u. It is
+// allocation-free for the optimal inserter's hot loop: sc provides the
+// distance vector and the forced-successor marks, and a path visits each
+// barrier at most once, so membership is a single indexed load instead of
+// a map probe.
 func (g *Graph) LongestMinForcedPath(u, v int, path Path, sc *Scratch) (int, error) {
 	order, err := g.Topo()
 	if err != nil {
@@ -371,37 +371,6 @@ func (g *Graph) LongestMinForcedPath(u, v int, path Path, sc *Scratch) (int, err
 	}
 	for i := 0; i+1 < len(path); i++ {
 		sc.next[path[i]] = -1
-	}
-	return dist[v], nil
-}
-
-// LongestMinForced is LongestMinForcedPath for an arbitrary forced edge
-// set. Kept for callers that do not sit on a hot path; it allocates its
-// distance vector per call.
-func (g *Graph) LongestMinForced(u, v int, forced map[Edge]bool) (int, error) {
-	order, err := g.Topo()
-	if err != nil {
-		return 0, err
-	}
-	dist := make([]int, g.Len())
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[u] = 0
-	for _, x := range order {
-		if dist[x] == Unreachable {
-			continue
-		}
-		a := &g.out[x]
-		for k, s := range a.to {
-			w := a.agg[k].Min
-			if forced[Edge{x, s}] {
-				w = a.agg[k].Max
-			}
-			if d := dist[x] + w; d > dist[s] {
-				dist[s] = d
-			}
-		}
 	}
 	return dist[v], nil
 }

@@ -190,7 +190,9 @@ func TestQuickFireWindowInvariants(t *testing.T) {
 
 func TestQuickForcedMinBounds(t *testing.T) {
 	// ψ*_min with a forced path lies between the plain min longest path
-	// and the all-max longest path.
+	// and the all-max longest path, and the allocation-free
+	// LongestMinForcedPath agrees with the map-based reference.
+	var sc Scratch
 	f := func(seed int64) bool {
 		g := randomDag(seed)
 		distMin, err := g.LongestFrom(Initial, false)
@@ -215,6 +217,9 @@ func TestQuickForcedMinBounds(t *testing.T) {
 					return false
 				}
 				if got < distMin[v] || got > distMax[v] {
+					return false
+				}
+				if fast, err := g.LongestMinForcedPath(Initial, v, path, &sc); err != nil || fast != got {
 					return false
 				}
 			}

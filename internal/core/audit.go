@@ -8,9 +8,10 @@ import (
 
 // auditState verifies the incrementally maintained scheduler state — the
 // patched barrier dag, its id-to-node map, and the per-processor timeline
-// state — against a from-scratch rebuild. Enabled by Options.SelfCheck
-// after every patch; the differential tests lean on it to prove that
-// incremental maintenance and wholesale rebuilding are indistinguishable.
+// state — against a from-scratch rebuild. Enabled by the selfCheck test
+// option after every patch; the differential tests lean on it to prove
+// that incremental maintenance and wholesale rebuilding are
+// indistinguishable.
 func (s *scheduler) auditState() error {
 	fresh, fnode, err := buildBarrierGraphDense(s.procs, s.parts, s.g.Time)
 	if err != nil {
@@ -40,7 +41,10 @@ func (s *scheduler) auditState() error {
 }
 
 // equalGraphs compares two barrier dags structurally: node count and
-// participants, edge sets with timings, dominator trees, and fire windows.
+// participants, edge sets with timings, dominator trees, fire windows,
+// and the reachability and longest min/max path rows from every barrier
+// (the common-dominator rows checkPair reads, not only the initial
+// barrier's).
 func equalGraphs(got, want *bdag.Graph) error {
 	if got.Len() != want.Len() {
 		return fmt.Errorf("node count %d vs %d", got.Len(), want.Len())
@@ -88,6 +92,23 @@ func equalGraphs(got, want *bdag.Graph) error {
 	for b := range wmin {
 		if gmin[b] != wmin[b] || gmax[b] != wmax[b] {
 			return fmt.Errorf("fire window of %d is [%d,%d] vs [%d,%d]", b, gmin[b], gmax[b], wmin[b], wmax[b])
+		}
+	}
+	for u := 0; u < want.Len(); u++ {
+		for v := 0; v < want.Len(); v++ {
+			if gp, wp := got.HasPath(u, v), want.HasPath(u, v); gp != wp {
+				return fmt.Errorf("HasPath(%d,%d) = %v vs %v", u, v, gp, wp)
+			}
+		}
+		for _, useMax := range []bool{false, true} {
+			gd, gerr := got.LongestFrom(u, useMax)
+			wd, werr := want.LongestFrom(u, useMax)
+			if (gerr == nil) != (werr == nil) {
+				return fmt.Errorf("LongestFrom(%d,%v) errors %v vs %v", u, useMax, gerr, werr)
+			}
+			if err := equalInts(fmt.Sprintf("LongestFrom(%d,%v)", u, useMax), gd, wd); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -8,9 +8,9 @@ import (
 // TestIncrementalSchedulerMatchesRebuildOracle is the end-to-end
 // differential test for incremental barrier-dag maintenance: across a
 // table of synthetic workloads and option combinations, scheduling with
-// incremental patching (and SelfCheck auditing every patch against a
+// incremental patching (and selfCheck auditing every patch against a
 // from-scratch rebuild) must produce a byte-identical exported schedule to
-// scheduling with ForceRebuild.
+// scheduling with forceRebuild.
 func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -35,6 +35,13 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 		{"sbm-optimal-k1", 40, 5, 8, SBM, Optimal, 9, 1},
 		{"sbm-optimal-k2", 45, 4, 6, SBM, Optimal, 10, 2},
 		{"dbm-optimal-k128", 55, 5, 8, DBM, Optimal, 11, 128},
+		// Workload scale (the benchmark's largest blocks): 51 to 102
+		// barrier nodes, so reachability rows cross a bitset word, and
+		// every common-dominator row is patched many times over.
+		{"dbm-200-p8", 200, 10, 8, DBM, Conservative, 12, 0},
+		{"dbm-200-p16", 200, 10, 16, DBM, Conservative, 14, 0},
+		{"sbm-200-p4", 200, 10, 4, SBM, Conservative, 27, 0},
+		{"dbm-200-p16-optimal", 200, 10, 16, DBM, Optimal, 16, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -49,14 +56,14 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 			}
 
 			inc := opts
-			inc.SelfCheck = true
+			inc.selfCheck = true
 			si, err := ScheduleDAG(g, inc)
 			if err != nil {
 				t.Fatalf("incremental: %v", err)
 			}
 
 			reb := opts
-			reb.ForceRebuild = true
+			reb.forceRebuild = true
 			sr, err := ScheduleDAG(g, reb)
 			if err != nil {
 				t.Fatalf("rebuild oracle: %v", err)
@@ -84,7 +91,7 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 	}
 }
 
-// TestIncrementalSelfCheckRandomized drives SelfCheck-audited runs across
+// TestIncrementalSelfCheckRandomized drives selfCheck-audited runs across
 // many random seeds; every barrier insertion audits the patched dag, the
 // barrier-id map, and the per-processor timeline state against fresh
 // rebuilds, so any divergence fails the schedule.
@@ -95,7 +102,7 @@ func TestIncrementalSelfCheckRandomized(t *testing.T) {
 		g := synthGraph(t, stmts, 3+int(seed%6), seed)
 		opts := DefaultOptions(procs)
 		opts.Seed = seed
-		opts.SelfCheck = true
+		opts.selfCheck = true
 		if seed%2 == 0 {
 			opts.Machine = DBM
 		}
@@ -129,7 +136,7 @@ func TestMaintPatchRateDominates(t *testing.T) {
 	}
 	t.Logf("maint: %v", m)
 	if m.KeptRows == 0 {
-		t.Error("selective invalidation never kept a memo row")
+		t.Error("incremental maintenance never kept a memo row")
 	}
 }
 
@@ -169,10 +176,10 @@ func TestRegionDelta(t *testing.T) {
 func TestForceRebuildOptionValidates(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		o := DefaultOptions(4)
-		o.ForceRebuild = force
-		o.SelfCheck = !force
+		o.forceRebuild = force
+		o.selfCheck = !force
 		if err := o.Validate(); err != nil {
-			t.Fatalf("ForceRebuild=%v: %v", force, err)
+			t.Fatalf("forceRebuild=%v: %v", force, err)
 		}
 	}
 }

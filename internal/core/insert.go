@@ -379,9 +379,9 @@ func (s *scheduler) insertBarrierDepth(g, i int, pt pairTiming, depth int) error
 			s.record(obsv.KindRollback, int64(id), 0, 0)
 			return false, nil
 		}
-		if !s.opts.ForceRebuild {
+		if !s.opts.forceRebuild {
 			// A committed insertion patched the barrier dag in place; under
-			// ForceRebuild the rebuild already emitted its own event.
+			// forceRebuild the rebuild already emitted its own event.
 			s.record(obsv.KindGraphPatch, int64(id), 0, 0)
 		}
 		s.record(obsv.KindBarrierInsert, int64(id), int64(P), int64(C))
@@ -529,15 +529,15 @@ func (s *scheduler) splitFor(p, pos int) bdag.Split {
 
 // applyBarrier commits barrier id across the producer processor P (at
 // timeline index posP) and consumer processor C (at posC), keeping the
-// barrier dag in sync. On the default path the dag is patched in place
-// with selective memo invalidation; a placement that would create a cycle
-// is rejected with errWouldCycle. Under Options.ForceRebuild the timelines
+// barrier dag in sync. On the default path the dag and its memo are
+// patched in place; a placement that would create a cycle is rejected
+// with errWouldCycle. Under the forceRebuild test oracle the timelines
 // are mutated first and the dag is rebuilt, with a rebuild failure
 // reported as errWouldCycle. Either way, when an error is returned the
 // timelines are unchanged (barrier-id bookkeeping — parts, nextBar — is
 // the caller's to undo).
 func (s *scheduler) applyBarrier(id, P, posP, C, posC int) error {
-	if s.opts.ForceRebuild {
+	if s.opts.forceRebuild {
 		s.insertItemAt(P, posP, Item{Barrier: id, IsBarrier: true})
 		s.insertItemAt(C, posC, Item{Barrier: id, IsBarrier: true})
 		s.dirty = true
@@ -573,7 +573,7 @@ func (s *scheduler) applyBarrier(id, P, posP, C, posC int) error {
 		return fmt.Errorf("core: barrier dag cyclic after patch: %w", err)
 	}
 	s.idom = idom
-	if s.opts.SelfCheck {
+	if s.opts.selfCheck {
 		return s.auditState()
 	}
 	return nil

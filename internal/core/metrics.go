@@ -46,8 +46,8 @@ type Metrics struct {
 	PathCache metrics.CacheStats
 	// Maint accumulates barrier-dag maintenance counters: how many
 	// mutations were patched incrementally versus how many full rebuilds
-	// occurred (merges, rollbacks, ForceRebuild), and how many memoized
-	// rows selective invalidation kept versus dropped.
+	// occurred (merges and rollbacks), and how many memoized rows the
+	// patches kept versus dropped.
 	Maint metrics.MaintStats
 	// Stages records wall-clock time per scheduler stage ("order",
 	// "place", "merge", "verify", "finalize"). "merge" and "verify" run

@@ -93,12 +93,12 @@ func TestScheduleTraceDeterministic(t *testing.T) {
 }
 
 // TestForceRebuildTraceHasNoPatches checks the ablation's event shape:
-// with ForceRebuild every insertion shows up as a rebuild, never a patch.
+// with forceRebuild every insertion shows up as a rebuild, never a patch.
 func TestForceRebuildTraceHasNoPatches(t *testing.T) {
 	g := synthGraph(t, 40, 8, 5)
 	opts := DefaultOptions(8)
 	opts.Seed = 5
-	opts.ForceRebuild = true
+	opts.forceRebuild = true
 	ring := obsv.NewRing(1 << 14)
 	opts.Recorder = ring
 	if _, err := ScheduleDAG(g, opts); err != nil {
@@ -114,10 +114,10 @@ func TestForceRebuildTraceHasNoPatches(t *testing.T) {
 		}
 	})
 	if patches != 0 {
-		t.Errorf("%d graph-patch events under ForceRebuild", patches)
+		t.Errorf("%d graph-patch events under forceRebuild", patches)
 	}
 	if rebuilds == 0 {
-		t.Error("no graph-rebuild events under ForceRebuild")
+		t.Error("no graph-rebuild events under forceRebuild")
 	}
 }
 

@@ -139,16 +139,6 @@ type Options struct {
 	// across; 0 selects GOMAXPROCS. Scheduling a single DAG is
 	// unaffected: results are byte-identical for every Parallelism value.
 	Parallelism int
-	// ForceRebuild disables incremental barrier-dag maintenance: every
-	// barrier insertion rebuilds the dag from the timelines, as merges and
-	// rollbacks always do. Schedules are byte-identical either way; the
-	// flag exists as the differential oracle for tests and as an escape
-	// hatch.
-	ForceRebuild bool
-	// SelfCheck audits the incrementally maintained barrier dag and
-	// per-processor timeline state against a from-scratch rebuild after
-	// every patch. Expensive; intended for tests.
-	SelfCheck bool
 	// Cache, when non-nil, memoizes whole scheduling runs: ScheduleDAG
 	// consults it before running the section 4 pipeline and returns the
 	// stored schedule when the same (DAG content, decision-relevant
@@ -170,16 +160,25 @@ type Options struct {
 	// replays the rings in item order, so batch streams are deterministic
 	// at every Parallelism value too.
 	Recorder obsv.Recorder
+
+	// forceRebuild and selfCheck are the test oracles of incremental
+	// barrier-dag maintenance, set only by this package's tests.
+	// forceRebuild makes every barrier insertion rebuild the dag from the
+	// timelines, as merges and rollbacks always do; schedules are
+	// byte-identical either way. selfCheck audits the patched dag and the
+	// per-processor timeline state against a from-scratch rebuild after
+	// every patch.
+	forceRebuild, selfCheck bool
 }
 
 // ScheduleCache memoizes complete scheduling runs, keyed by the DAG's
 // content and the decision-relevant options (machine, processors,
 // insertion, ordering, assignment, lookahead, seed, path limit —
-// everything that changes the output; Parallelism, Recorder, ForceRebuild,
-// SelfCheck, and Cache itself do not). Implementations must return
-// schedules byte-identical to a fresh ScheduleDAG run with the same
-// arguments, and must be safe for concurrent use — batch drivers call them
-// from many workers at once. The canonical implementation is
+// everything that changes the output; Parallelism, Recorder, and Cache
+// itself do not). Implementations must return schedules byte-identical to
+// a fresh ScheduleDAG run with the same arguments, and must be safe for
+// concurrent use — ScheduleBatch and cfg.Program.Compile call them from
+// many workers at once. The canonical implementation is
 // internal/schedcache.Cache; core depends only on this interface so the
 // cache can build on core without an import cycle.
 type ScheduleCache interface {

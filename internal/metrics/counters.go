@@ -162,8 +162,8 @@ type MaintStats struct {
 	Patches uint64
 	// Rebuilds counts mutations that fell back to a full rebuild.
 	Rebuilds uint64
-	// KeptRows counts memoized query rows that survived a patch because
-	// the mutation provably could not affect them.
+	// KeptRows counts memoized query rows that survived a patch, either
+	// untouched or updated in place to their post-mutation value.
 	KeptRows uint64
 	// DroppedRows counts memoized query rows a patch invalidated.
 	DroppedRows uint64

@@ -36,8 +36,7 @@ const (
 	// place (no rebuild). Arg0=barrier id.
 	KindGraphPatch
 	// KindGraphRebuild: the barrier dag was rebuilt from the timelines
-	// (merge, rollback, or Options.ForceRebuild). Arg0=live barrier count
-	// after the rebuild.
+	// (merge or rollback). Arg0=live barrier count after the rebuild.
 	KindGraphRebuild
 	// KindCacheStats: cumulative path-cache counters at emit time
 	// (emitted after each rebuild and once at the end of scheduling).

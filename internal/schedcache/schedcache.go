@@ -23,9 +23,9 @@ const numShards = 16
 
 // Key is the full decision-relevant identity of a scheduling run: the
 // DAG's canonical content fingerprint plus every Options field that can
-// change ScheduleDAG's output. Parallelism, Recorder, ForceRebuild,
-// SelfCheck, and Cache are deliberately excluded — schedules are
-// byte-identical across all their values.
+// change ScheduleDAG's output. Parallelism, Recorder, and Cache are
+// deliberately excluded — schedules are byte-identical across all their
+// values.
 type Key struct {
 	FP         Fingerprint
 	Processors int

@@ -119,8 +119,6 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 
 	irrelevant := []func(*core.Options){
 		func(o *core.Options) { o.Parallelism = 7 },
-		func(o *core.Options) { o.ForceRebuild = true },
-		func(o *core.Options) { o.SelfCheck = true },
 		func(o *core.Options) { o.PathLimit = 64 }, // == implicit default
 	}
 	for i, mut := range irrelevant {
