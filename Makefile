@@ -77,12 +77,15 @@ benchcmp:
 	fi
 
 # Fuzz smoke: each language fuzz target for 10 s from its seed corpus in
-# internal/lang/testdata/fuzz/. The patterns are anchored because -fuzz
-# must match exactly one target and FuzzParse is a prefix of FuzzParseCF.
+# internal/lang/testdata/fuzz/, then the simulator's duration draw
+# against math/rand (FuzzDirectDraws). The patterns are anchored because
+# -fuzz must match exactly one target and FuzzParse is a prefix of
+# FuzzParseCF.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCF$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzDirectDraws$$' -fuzztime 10s ./internal/machine
 
 # Documentation gate: godoc examples compile and pass, and every
 # relative Markdown link resolves (see docs_link_test.go).

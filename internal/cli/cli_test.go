@@ -281,7 +281,7 @@ func TestExpSimStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"plans_compiled"`, `"runs"`, `"pool_hit_rate"`, `"batches"`, `"lanes"`, `"lanes_per_batch"`} {
+	for _, want := range []string{`"plans_compiled"`, `"runs"`, `"pool_hit_rate"`, `"batches"`, `"lanes"`, `"lanes_per_batch"`, `"sequential_lanes"`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("simstats JSON missing %s:\n%s", want, b)
 		}

@@ -29,7 +29,7 @@ func Exp(args []string, stdout, stderr io.Writer) int {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	list := fs.Bool("list", false, "list available experiments")
 	csvDir := fs.String("csv", "", "also write <experiment>.csv series files into this directory")
-	simStats := fs.String("simstats", "", "write simulation throughput counters (plans/runs/pool hit rate) as JSON to this file")
+	simStats := fs.String("simstats", "", "write simulation throughput counters (plans/runs/pool hit rate/sequential lanes) as JSON to this file")
 	obsvf := addObsvFlags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -104,17 +104,18 @@ func Exp(args []string, stdout, stderr io.Writer) int {
 	if *simStats != "" {
 		st := machine.Stats()
 		b, err := json.MarshalIndent(struct {
-			PlansCompiled uint64  `json:"plans_compiled"`
-			Runs          uint64  `json:"runs"`
-			RunsPerPlan   float64 `json:"runs_per_plan"`
-			ScratchHits   uint64  `json:"scratch_hits"`
-			ScratchMisses uint64  `json:"scratch_misses"`
-			PoolHitRate   float64 `json:"pool_hit_rate"`
-			Batches       uint64  `json:"batches"`
-			Lanes         uint64  `json:"lanes"`
-			LanesPerBatch float64 `json:"lanes_per_batch"`
+			PlansCompiled   uint64  `json:"plans_compiled"`
+			Runs            uint64  `json:"runs"`
+			RunsPerPlan     float64 `json:"runs_per_plan"`
+			ScratchHits     uint64  `json:"scratch_hits"`
+			ScratchMisses   uint64  `json:"scratch_misses"`
+			PoolHitRate     float64 `json:"pool_hit_rate"`
+			Batches         uint64  `json:"batches"`
+			Lanes           uint64  `json:"lanes"`
+			LanesPerBatch   float64 `json:"lanes_per_batch"`
+			SequentialLanes uint64  `json:"sequential_lanes"`
 		}{st.PlansCompiled, st.Runs, st.RunsPerPlan(), st.ScratchHits, st.ScratchMisses, st.PoolHitRate(),
-			st.Batches, st.Lanes, st.LanesPerBatch()}, "", "  ")
+			st.Batches, st.Lanes, st.LanesPerBatch(), st.SequentialLanes}, "", "  ")
 		if err != nil {
 			return fail(stderr, "bmexp", err)
 		}

@@ -201,6 +201,7 @@ func collectSim(w *obsv.PromWriter) {
 	w.Counter("barriermimd_sim_scratch_misses_total", "Plan runs that allocated fresh scratch state.", "", st.ScratchMisses)
 	w.Counter("barriermimd_sim_batches_total", "Lane-parallel batch executions (Plan.RunMany).", "", st.Batches)
 	w.Counter("barriermimd_sim_lanes_total", "Seeds simulated by lane-parallel batches (each lane also counts into runs_total).", "", st.Lanes)
+	w.Counter("barriermimd_sim_sequential_lanes_total", "Random-timing lanes (a Plan.Run counts one) that replayed the sequential math/rand replica instead of drawing directly from seed words.", "", st.SequentialLanes)
 	enabled := 0.0
 	if machine.RunTimingEnabled() {
 		enabled = 1

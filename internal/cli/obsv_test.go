@@ -144,6 +144,7 @@ func TestDefaultRegistryScrape(t *testing.T) {
 	for _, want := range []string{
 		"barriermimd_sim_runs_total",
 		"barriermimd_sim_plans_compiled_total",
+		"barriermimd_sim_sequential_lanes_total",
 		"barriermimd_sched_stage_seconds",
 		"barriermimd_pool_batches_total",
 		"barriermimd_go_goroutines",

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"barriermimd/internal/dag"
@@ -177,16 +180,109 @@ func TestFractionsSumToOne(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruption corrupts a valid schedule once per error
+// class and checks Validate reports that class, and never panics.
 func TestValidateCatchesCorruption(t *testing.T) {
-	g := synthGraph(t, 20, 6, 1)
-	s, err := ScheduleDAG(g, DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
+	// firstWait finds processor p's first wait item on a barrier with at
+	// least two participants.
+	firstWait := func(s *Schedule) (p, idx, id int) {
+		for p, tl := range s.Procs {
+			for idx, it := range tl {
+				if it.IsBarrier && len(s.Participants[it.Barrier]) >= 2 {
+					return p, idx, it.Barrier
+				}
+			}
+		}
+		t.Fatal("schedule has no shared barrier")
+		return
 	}
-	// Duplicate a node.
-	s.Procs[0] = append(s.Procs[0], Item{Node: s.Procs[0][0].Node})
-	if err := s.Validate(); err == nil {
-		t.Error("Validate accepted duplicated node")
+	// firstNode finds processor p's first instruction item.
+	firstNode := func(s *Schedule) (p, idx int) {
+		for p, tl := range s.Procs {
+			for idx, it := range tl {
+				if !it.IsBarrier {
+					return p, idx
+				}
+			}
+		}
+		t.Fatal("schedule has no instruction")
+		return
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Schedule)
+		want    string
+	}{
+		{"duplicated node", func(s *Schedule) {
+			p, idx := firstNode(s)
+			s.Procs[p] = append(s.Procs[p], s.Procs[p][idx])
+		}, "scheduled 2 times"},
+		{"missing node", func(s *Schedule) {
+			p, idx := firstNode(s)
+			s.Procs[p] = slices.Delete(s.Procs[p], idx, idx+1)
+		}, "scheduled 0 times"},
+		{"negative node", func(s *Schedule) {
+			p, idx := firstNode(s)
+			s.Procs[p][idx].Node = -1
+		}, "holds invalid node -1"},
+		{"node past the graph", func(s *Schedule) {
+			p, idx := firstNode(s)
+			s.Procs[p][idx].Node = s.Graph.N
+		}, "holds invalid node"},
+		{"wrong processor", func(s *Schedule) {
+			p, idx := firstNode(s)
+			s.AssignTo[s.Procs[p][idx].Node] = p + 1
+		}, "but AssignTo says"},
+		{"same-processor edge out of order", func(s *Schedule) {
+			for _, e := range s.Graph.RealEdges() {
+				p := s.AssignTo[e.From]
+				if s.AssignTo[e.To] != p {
+					continue
+				}
+				i := slices.Index(s.Procs[p], Item{Node: e.From})
+				j := slices.Index(s.Procs[p], Item{Node: e.To})
+				s.Procs[p][i], s.Procs[p][j] = s.Procs[p][j], s.Procs[p][i]
+				return
+			}
+			t.Fatal("schedule has no same-processor edge")
+		}, "out of order"},
+		{"wait without participation", func(s *Schedule) {
+			p, _, id := firstWait(s)
+			s.Participants[id] = slices.DeleteFunc(slices.Clone(s.Participants[id]), func(q int) bool { return q == p })
+		}, "it does not participate in"},
+		{"wait on an unknown barrier", func(s *Schedule) {
+			p, idx, _ := firstWait(s)
+			s.Procs[p][idx].Barrier = 1 << 20
+		}, fmt.Sprintf("waits on barrier %d it does not participate in", 1<<20)},
+		{"participant without a wait", func(s *Schedule) {
+			p, idx, _ := firstWait(s)
+			s.Procs[p] = slices.Delete(s.Procs[p], idx, idx+1)
+		}, "participants but"},
+		{"extra participant", func(s *Schedule) {
+			_, _, id := firstWait(s)
+			for q := range s.Procs {
+				if !slices.Contains(s.Participants[id], q) {
+					s.Participants[id] = append(slices.Clone(s.Participants[id]), q)
+					return
+				}
+			}
+			t.Fatal("barrier already spans every processor")
+		}, "participants but"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ScheduleDAG(synthGraph(t, 30, 6, 1), DefaultOptions(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("uncorrupted schedule: %v", err)
+			}
+			tc.corrupt(s)
+			err = s.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

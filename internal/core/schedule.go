@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -177,22 +178,20 @@ func (s *Schedule) RegionDelta(p, idx int, useMax bool) int {
 // Validate checks structural invariants: every real node appears exactly
 // once, on the processor AssignTo claims; same-processor dependences are in
 // program order; barrier participant sets match the timelines that wait on
-// them.
+// them. It reads each timeline once.
 func (s *Schedule) Validate() error {
+	// seen counts each node's appearances and pos holds its timeline
+	// index; waits counts each barrier id's wait items.
 	seen := make([]int, s.Graph.N)
-	pos := make(map[int]int)
+	pos := make([]int, s.Graph.N)
+	waits := make(map[int]int, len(s.Participants))
 	for p, tl := range s.Procs {
 		for idx, it := range tl {
 			if it.IsBarrier {
-				found := false
-				for _, q := range s.Participants[it.Barrier] {
-					if q == p {
-						found = true
-					}
-				}
-				if !found {
+				if !slices.Contains(s.Participants[it.Barrier], p) {
 					return fmt.Errorf("core: processor %d waits on barrier %d it does not participate in", p, it.Barrier)
 				}
+				waits[it.Barrier]++
 				continue
 			}
 			n := it.Node
@@ -220,16 +219,8 @@ func (s *Schedule) Validate() error {
 		if id == InitialBarrier {
 			continue
 		}
-		waiting := 0
-		for _, tl := range s.Procs {
-			for _, it := range tl {
-				if it.IsBarrier && it.Barrier == id {
-					waiting++
-				}
-			}
-		}
-		if waiting != len(parts) {
-			return fmt.Errorf("core: barrier %d has %d participants but %d waits", id, len(parts), waiting)
+		if waits[id] != len(parts) {
+			return fmt.Errorf("core: barrier %d has %d participants but %d waits", id, len(parts), waits[id])
 		}
 	}
 	return nil

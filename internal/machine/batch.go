@@ -190,18 +190,20 @@ func sizeInt64s(s []int64, n int) []int64 {
 }
 
 // chunkScratch is one worker's private simulation state for a chunk of
-// lanes: per-lane clocks, durations and RNG windows (stride L = chunk
-// width), plus the single shared control skeleton (positions, blocked
-// set, arrivals, calendar) that every lane of every chunk walks
-// identically. Recycled through Plan.chunkPool.
+// lanes: per-lane clocks and durations (stride L = chunk width), plus the
+// single shared control skeleton (positions, blocked set, arrivals,
+// calendar) that every lane of every chunk walks identically. Recycled
+// through Plan.chunkPool.
 type chunkScratch struct {
 	plan *Plan
 	lcap int // lane capacity the slices are sized for
 
-	vec   []uint64 // [lcap*rngLen] per-lane generator windows
-	dur   []int32  // [node*L+lane]
-	clock []int    // [proc*L+lane]
-	tmax  []int    // [L] fire-time scratch
+	dur   []int32 // [node*L+lane]
+	clock []int   // [proc*L+lane]
+	tmax  []int   // [L] fire-time scratch
+	// rng is the sequential replica for lanes that cannot be drawn
+	// directly; replayLane allocates its state window on first use.
+	rng laneRNG
 
 	pos      []int32
 	blocked  []int32
@@ -227,7 +229,6 @@ func (p *Plan) getChunk(L int) *chunkScratch {
 	}
 	if ck.lcap < L {
 		ck.lcap = L
-		ck.vec = make([]uint64, L*rngLen)
 		ck.dur = make([]int32, p.nnodes*L)
 		ck.clock = make([]int, p.nprocs*L)
 		ck.tmax = make([]int, L)
@@ -240,21 +241,19 @@ func (p *Plan) getChunk(L int) *chunkScratch {
 // contract that a (Policy, Seed) pair denotes one concrete execution.
 var errReplica = errors.New("machine: math/rand replica failed self-check")
 
-// draw fills ck.dur ([node*L+lane]) for the chunk's seeds: each lane
-// draws one policy-dependent value per node in node order from
-// rand.New(rand.NewSource(seed)), reproduced by the replica generator
-// (independent multiply-folds per state word).
+// draw fills ck.dur ([node*L+lane]) for the chunk's seeds. Under
+// RandomTimes each lane draws minDur + Int31n(spanDur) per node in node
+// order from rand.New(rand.NewSource(seed)). Lanes draw one at a time:
+// directly from the seed words each variable-duration node reads
+// (freshLane) when the plan has at most rngTap nodes, and otherwise, or
+// when a draw would enter Int31n's rejection loop, by replaying the
+// sequential replica (replayLane). Both reproduce the stream exactly.
 func (ck *chunkScratch) draw(policy Policy, seeds []int64) error {
 	p := ck.plan
 	L := len(seeds)
 	switch policy {
 	case MinTimes:
-		for n := 0; n < p.nnodes; n++ {
-			row := ck.dur[n*L : n*L+L]
-			for l := range row {
-				row[l] = p.minDur[n]
-			}
-		}
+		ck.fillMin(L)
 	case MaxTimes:
 		for n := 0; n < p.nnodes; n++ {
 			row := ck.dur[n*L : n*L+L]
@@ -267,15 +266,37 @@ func (ck *chunkScratch) draw(policy Policy, seeds []int64) error {
 		if !replicaReady() {
 			return errReplica
 		}
+		ck.fillMin(L)
+		direct := p.nnodes <= rngTap
+		replays := 0
 		for l, seed := range seeds {
-			g := laneRNG{vec: ck.vec[l*rngLen : (l+1)*rngLen]}
-			g.seed(seed)
-			for n := 0; n < p.nnodes; n++ {
-				ck.dur[n*L+l] = p.minDur[n] + int32(g.int31n(p.spanDur[n]))
+			col := ck.dur[l:]
+			if direct && freshLane(seed, p.vary, p.spanDur, col, L) {
+				continue
 			}
+			ck.rng.replayLane(seed, p.minDur, p.spanDur, col, L)
+			replays++
+		}
+		if replays > 0 {
+			simStats.seqLanes.Add(uint64(replays))
 		}
 	}
 	return nil
+}
+
+// fillMin sets every lane's duration to its node's minimum.
+func (ck *chunkScratch) fillMin(L int) {
+	p := ck.plan
+	if L == 1 {
+		copy(ck.dur, p.minDur)
+		return
+	}
+	for n := 0; n < p.nnodes; n++ {
+		row := ck.dur[n*L : n*L+L]
+		for l := range row {
+			row[l] = p.minDur[n]
+		}
+	}
 }
 
 // run simulates the chunk's lanes in lockstep, writing outputs into

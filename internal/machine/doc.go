@@ -32,6 +32,20 @@
 // schedule on every call, and require the kernel to match it byte for
 // byte. Stats reports the process-wide plan/run/pool counters.
 //
+// # Random durations
+//
+// Under RandomTimes, a run with seed s draws node n's duration as
+// Min + Intn(Max−Min+1) in node order from rand.New(rand.NewSource(s)),
+// and the kernel reproduces that stream bit for bit without running
+// math/rand. For a plan of at most 273 nodes it computes each draw
+// directly: draw n reads output n of the fresh source, which is the sum
+// of two of the 607 seed words, so a variable-duration node costs two
+// seed words and a fixed one nothing. Every lane of a larger plan, and
+// any lane whose draw would enter Int31n's rejection loop, replays a
+// sequential replica of the generator instead. Both paths come from
+// tables recovered from, and self-checked against, math/rand at first
+// use (rng.go). Stats.SequentialLanes counts the replayed lanes.
+//
 // # Observability
 //
 // Config.Recorder attaches an internal/obsv trace recorder; every run

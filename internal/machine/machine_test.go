@@ -12,7 +12,13 @@ import (
 	"barriermimd/internal/synth"
 )
 
-func schedule(t *testing.T, stmts, vars, procs int, seed int64, mk core.MachineKind) *core.Schedule {
+func schedule(t testing.TB, stmts, vars, procs int, seed int64, mk core.MachineKind) *core.Schedule {
+	t.Helper()
+	return timedSchedule(t, stmts, vars, procs, seed, mk, ir.DefaultTimings())
+}
+
+// timedSchedule is schedule under an explicit timing model.
+func timedSchedule(t testing.TB, stmts, vars, procs int, seed int64, mk core.MachineKind, tm ir.TimingModel) *core.Schedule {
 	t.Helper()
 	prog := synth.MustGenerate(synth.Config{Statements: stmts, Variables: vars}, seed)
 	naive, err := lang.Compile(prog)
@@ -23,7 +29,7 @@ func schedule(t *testing.T, stmts, vars, procs int, seed int64, mk core.MachineK
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := dag.Build(optb, ir.DefaultTimings())
+	g, err := dag.Build(optb, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +44,7 @@ func schedule(t *testing.T, stmts, vars, procs int, seed int64, mk core.MachineK
 }
 
 // compile lowers s for kind through the production Compile.
-func compile(t *testing.T, s *core.Schedule, kind core.MachineKind) *Plan {
+func compile(t testing.TB, s *core.Schedule, kind core.MachineKind) *Plan {
 	t.Helper()
 	plan, err := Compile(s, kind)
 	if err != nil {

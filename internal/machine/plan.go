@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"barriermimd/internal/core"
+	"barriermimd/internal/ir"
 )
 
 // Plan is a schedule lowered into flat arrays for repeated simulation:
@@ -54,8 +55,10 @@ type Plan struct {
 	queue []int32
 
 	// minDur/spanDur give each node's minimum duration and inclusive range
-	// width (Max-Min+1), pre-split for the per-run duration draw.
+	// width (Max-Min+1), pre-split for the per-run duration draw; vary
+	// lists the nodes whose span exceeds one, in ascending order.
 	minDur, spanDur []int32
+	vary            []int32
 
 	batchPool sync.Pool // *batchScratch (Run and RunMany results)
 	chunkPool sync.Pool // *chunkScratch (kernel worker state)
@@ -159,17 +162,23 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 		}
 	}
 
-	// Pre-split duration ranges.
-	p.minDur = make([]int32, p.nnodes)
-	p.spanDur = make([]int32, p.nnodes)
-	for n := 0; n < p.nnodes; n++ {
-		t := s.Graph.Time[n]
-		p.minDur[n] = int32(t.Min)
-		p.spanDur[n] = int32(t.Max - t.Min + 1)
-	}
-
+	p.splitDurations(s.Graph.Time[:p.nnodes])
 	simStats.plans.Add(1)
 	return p, nil
+}
+
+// splitDurations pre-splits each node's timing range for the per-run
+// duration draw.
+func (p *Plan) splitDurations(times []ir.Timing) {
+	p.minDur = make([]int32, len(times))
+	p.spanDur = make([]int32, len(times))
+	for n, t := range times {
+		p.minDur[n] = int32(t.Min)
+		p.spanDur[n] = int32(t.Max - t.Min + 1)
+		if p.spanDur[n] > 1 {
+			p.vary = append(p.vary, int32(n))
+		}
+	}
 }
 
 // buildQueue computes the SBM compile-time barrier queue in dense space: a

@@ -5,19 +5,34 @@ import (
 	"sync"
 )
 
-// This file holds a bit-exact replica of math/rand's additive
-// lagged-Fibonacci generator (rngSource), used by the simulator kernel to
-// draw per-lane durations. The contract everywhere in this package is that
-// a (Policy, Seed) pair denotes one concrete execution, with the stream
-// defined by rand.New(rand.NewSource(seed)) — so the kernel must
-// reproduce that stream bit for bit. The stdlib generator's problem for
-// sweeps is Seed(): it walks a ~1900-step dependent Lehmer chain
-// (x' = 48271·x mod 2³¹−1) to fill the 607-word state, which costs more
-// than an entire simulated run. The replica removes the dependency: the
-// k-th chain value is 48271^k·x₀ mod 2³¹−1, so with the powers
-// 48271^k mod 2³¹−1 precomputed once per process, every state word is an
-// independent multiply + Mersenne-prime fold — the seeding loop becomes
-// wide instruction-level parallelism instead of a serial chain.
+// This file reproduces rand.New(rand.NewSource(seed)), math/rand's
+// additive lagged-Fibonacci generator, for the simulator kernel's
+// per-lane duration draws. The contract everywhere in this package is
+// that a (Policy, Seed) pair denotes one concrete execution, with the
+// stream defined by rand.New(rand.NewSource(seed)) — so every draw must
+// match that stream bit for bit.
+//
+// Seeding is what costs. The stdlib's Seed walks a ~1900-step dependent
+// Lehmer chain (x' = 48271·x mod 2³¹−1) to fill a 607-word state, yet a
+// lane of a typical plan reads only a handful of those words. Two facts
+// make each word, and each early output, cheap on its own:
+//
+//   - The k-th chain value is 48271^k·x₀ mod 2³¹−1, so with the powers
+//     48271^k mod 2³¹−1 precomputed once per process, state word i is
+//     three independent multiply + Mersenne-prime folds (seedWord).
+//   - A fresh source starts with tap = 0 and feed = rngLen−rngTap. Step k
+//     decrements both cursors and returns the sum of words
+//     rngLen−rngTap−1−k and rngLen−1−k, writing it over the first. For
+//     k < rngTap neither word has been written yet, so output k is the
+//     sum of two seed words (freshOutput).
+//
+// The kernel therefore draws a lane directly (freshLane): node n's
+// Int31n(span) consumes output n, so a variable-duration node costs two
+// seed words and a fixed one (span 1) nothing. Int31n's rejection loop
+// consumes extra outputs and shifts every later draw; a lane that would
+// enter it, and every lane of a plan with more than rngTap nodes,
+// replays through the sequential replica (laneRNG), which fills the
+// whole state and steps it exactly as the stdlib does.
 //
 // The stdlib XORs each seeded word with an unexported table (rngCooked).
 // Rather than copying that table out of the runtime's internals, it is
@@ -26,11 +41,11 @@ import (
 // state (each output is the sum of two words, and the overwrite schedule
 // makes the system triangular), and XORing the reconstructed state with
 // the probe seed's chain values yields the table. The recovery is
-// self-verifying — replica streams are compared against math/rand for a
-// spread of seeds — and if verification ever fails (a hypothetical
-// future change to the frozen math/rand algorithm), replicaReady reports
-// false and RandomTimes runs fail with an error rather than draw a
-// different stream.
+// self-verifying — replica streams and fresh outputs are compared against
+// math/rand for a spread of seeds — and if verification ever fails (a
+// hypothetical future change to the frozen math/rand algorithm),
+// replicaReady reports false and RandomTimes runs fail with an error
+// rather than draw a different stream.
 
 const (
 	rngLen   = 607 // length of the lagged-Fibonacci state
@@ -93,7 +108,7 @@ var replica struct {
 	pow3 [3 * rngLen]uint64
 }
 
-// replicaReady reports whether the fast seeding path is available,
+// replicaReady reports whether the replica's tables are available,
 // performing the one-time table recovery and self-verification on first
 // call.
 func replicaReady() bool {
@@ -157,8 +172,9 @@ func recoverReplica() {
 
 // verifyReplica cross-checks the recovered tables against math/rand for
 // a spread of seeds: raw 64-bit outputs past a full state cycle (so the
-// tap/feed walk is exercised through its wrap) and bounded draws through
-// the same rejection path (*rand.Rand).Intn uses.
+// tap/feed walk is exercised through its wrap), the first rngTap outputs
+// as freshOutput computes them, and bounded draws through the same
+// rejection path (*rand.Rand).Intn uses.
 func verifyReplica() bool {
 	state := make([]uint64, rngLen)
 	for _, seed := range []int64{0, 1, 2, -1, -7, 89482311, int31max, 1<<62 + 12345} {
@@ -166,8 +182,13 @@ func verifyReplica() bool {
 		g.vec = state
 		g.seed(seed)
 		ref := rand.New(rand.NewSource(seed))
+		x0 := normSeed(seed)
 		for k := 0; k < rngLen+100; k++ {
-			if g.int63() != ref.Int63() {
+			want := ref.Int63()
+			if g.int63() != want {
+				return false
+			}
+			if k < rngTap && int64(freshOutput(k, x0)&rngMask) != want {
 				return false
 			}
 		}
@@ -190,21 +211,88 @@ type laneRNG struct {
 	tap, feed int32
 }
 
-// seed fills the lane's state identically to rand.NewSource(seed) using
-// the precomputed power table: every word is three independent
-// multiply-folds, with no serial dependency between words. Requires
-// replicaReady().
-func (g *laneRNG) seed(seed int64) {
-	x0 := normSeed(seed)
-	vec := g.vec[:rngLen]
-	for i := 0; i < rngLen; i++ {
+// seedWords sets dst[j] to state word lo+j of rand.NewSource(seed), where
+// x0 is normSeed(seed): three independent multiply-folds with the power
+// table, XORed with the cooked table, and no serial dependency between
+// words. Requires replicaReady().
+func seedWords(dst []uint64, lo int, x0 uint64) {
+	for j := range dst {
+		i := lo + j
 		a := mulmod31(replica.pow3[3*i], x0)
 		b := mulmod31(replica.pow3[3*i+1], x0)
 		c := mulmod31(replica.pow3[3*i+2], x0)
-		vec[i] = (a<<40 ^ b<<20 ^ c) ^ replica.cooked[i]
+		dst[j] = (a<<40 ^ b<<20 ^ c) ^ replica.cooked[i]
 	}
+}
+
+// seedWord returns state word i of rand.NewSource(seed) alone. It wraps
+// seedWords rather than the other way round because the inliner rejects
+// the word's formula, and a call per word would slow full seeding down.
+func seedWord(i int, x0 uint64) uint64 {
+	var w [1]uint64
+	seedWords(w[:], i, x0)
+	return w[0]
+}
+
+// freshOutput returns output k (k < rngTap) of rand.NewSource(seed), for
+// x0 = normSeed(seed), without stepping a generator: step k adds words
+// rngLen−rngTap−1−k (feed) and rngLen−1−k (tap), and the k earlier steps
+// wrote only feed words above rngLen−rngTap−1−k. Requires replicaReady().
+func freshOutput(k int, x0 uint64) uint64 {
+	return seedWord(rngLen-rngTap-1-k, x0) + seedWord(rngLen-1-k, x0)
+}
+
+// freshLane adds to col[n*stride], for each node n in vary (ascending,
+// all below rngTap), the value Int31n(span[n]) that
+// rand.New(rand.NewSource(seed)) returns on its n-th call when every
+// node draws once in node order. Without rejections call n consumes
+// exactly output n, and a node outside vary (span 1) returns 0 whatever
+// it reads. freshLane reports false, leaving the lane partly updated,
+// when a draw would enter Int31n's rejection loop, whose extra outputs
+// shift every later draw: the caller must then replay the lane
+// (replayLane). Requires replicaReady().
+func freshLane(seed int64, vary, span, col []int32, stride int) bool {
+	x0 := normSeed(seed)
+	for _, n := range vary {
+		m := span[n]
+		v := int32((freshOutput(int(n), x0) & rngMask) >> 32)
+		if m&(m-1) == 0 {
+			v &= m - 1
+		} else {
+			// Int31n accepts v below the largest multiple of m that
+			// fits in 2³¹, that is when v's multiple-of-m block
+			// [v−v%m, v−v%m+m) ends at or below 2³¹.
+			r := v % m
+			if uint32(v-r)+uint32(m) > 1<<31 {
+				return false
+			}
+			v = r
+		}
+		col[int(n)*stride] += v
+	}
+	return true
+}
+
+// seed fills the lane's state identically to rand.NewSource(seed).
+// Requires replicaReady().
+func (g *laneRNG) seed(seed int64) {
+	seedWords(g.vec[:rngLen], 0, normSeed(seed))
 	g.tap = 0
 	g.feed = rngLen - rngTap
+}
+
+// replayLane writes lo[n] + Int31n(span[n]) into col[n*stride] for every
+// node n, drawn in node order from rand.New(rand.NewSource(seed)) by
+// seeding the whole state and stepping it. It allocates the state window
+// if g has none. Requires replicaReady().
+func (g *laneRNG) replayLane(seed int64, lo, span, col []int32, stride int) {
+	if g.vec == nil {
+		g.vec = make([]uint64, rngLen)
+	}
+	g.seed(seed)
+	for n, m := range span {
+		col[n*stride] = lo[n] + g.int31n(m)
+	}
 }
 
 // next64 is rngSource.Uint64: the additive lagged-Fibonacci step.

@@ -10,26 +10,29 @@ import (
 // counters are atomic so concurrent plan runs (the intended use) can bump
 // them without coordination.
 var simStats struct {
-	plans   atomic.Uint64
-	runs    atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	batches atomic.Uint64
-	lanes   atomic.Uint64
+	plans    atomic.Uint64
+	runs     atomic.Uint64
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	batches  atomic.Uint64
+	lanes    atomic.Uint64
+	seqLanes atomic.Uint64
 }
 
 // Stats snapshots the process-wide simulation counters: plans compiled,
 // runs executed (one per Plan.Run, one per RunMany lane), RunMany batches
-// and lanes, and how often a run's scratch state was recycled from a pool
+// and lanes, lanes whose random durations replayed the sequential
+// generator, and how often a run's scratch state was recycled from a pool
 // rather than freshly allocated.
 func Stats() metrics.SimStats {
 	return metrics.SimStats{
-		PlansCompiled: simStats.plans.Load(),
-		Runs:          simStats.runs.Load(),
-		ScratchHits:   simStats.hits.Load(),
-		ScratchMisses: simStats.misses.Load(),
-		Batches:       simStats.batches.Load(),
-		Lanes:         simStats.lanes.Load(),
+		PlansCompiled:   simStats.plans.Load(),
+		Runs:            simStats.runs.Load(),
+		ScratchHits:     simStats.hits.Load(),
+		ScratchMisses:   simStats.misses.Load(),
+		Batches:         simStats.batches.Load(),
+		Lanes:           simStats.lanes.Load(),
+		SequentialLanes: simStats.seqLanes.Load(),
 	}
 }
 
@@ -42,6 +45,7 @@ func ResetStats() {
 	simStats.misses.Store(0)
 	simStats.batches.Store(0)
 	simStats.lanes.Store(0)
+	simStats.seqLanes.Store(0)
 }
 
 // Run-latency measurement is opt-in: a µs-scale Plan.Run would pay a

@@ -103,6 +103,12 @@ type SimStats struct {
 	// Plan.Run and RunMany.
 	Batches uint64
 	Lanes   uint64
+	// SequentialLanes counts random-timing lanes (a Plan.Run counts as
+	// one) whose durations could not be computed from the seed words
+	// they read and replayed the sequential math/rand replica instead:
+	// every lane of a plan with more than 273 nodes, and any lane whose
+	// draw entered Int31n's rejection loop.
+	SequentialLanes uint64
 }
 
 // RunsPerPlan is Runs / PlansCompiled, or 0 with no plans — the
@@ -140,6 +146,7 @@ func (s *SimStats) Add(o SimStats) {
 	s.ScratchMisses += o.ScratchMisses
 	s.Batches += o.Batches
 	s.Lanes += o.Lanes
+	s.SequentialLanes += o.SequentialLanes
 }
 
 func (s SimStats) String() string {
@@ -149,6 +156,9 @@ func (s SimStats) String() string {
 	if s.Batches > 0 {
 		out += fmt.Sprintf(" batches=%d lanes=%d (%.1f lanes/batch)",
 			s.Batches, s.Lanes, s.LanesPerBatch())
+	}
+	if s.SequentialLanes > 0 {
+		out += fmt.Sprintf(" sequential lanes=%d", s.SequentialLanes)
 	}
 	return out
 }

@@ -39,12 +39,15 @@ func TestSimStats(t *testing.T) {
 	if got := s.PoolHitRate(); got != 0.75 {
 		t.Errorf("PoolHitRate = %v, want 0.75", got)
 	}
-	s.Add(SimStats{PlansCompiled: 1, Runs: 5, ScratchHits: 1, ScratchMisses: 1})
-	if s.PlansCompiled != 3 || s.Runs != 15 || s.ScratchHits != 10 || s.ScratchMisses != 4 {
+	if str := s.String(); strings.Contains(str, "sequential") {
+		t.Errorf("String = %q, want no sequential-lane count while it is 0", str)
+	}
+	s.Add(SimStats{PlansCompiled: 1, Runs: 5, ScratchHits: 1, ScratchMisses: 1, SequentialLanes: 2})
+	if s.PlansCompiled != 3 || s.Runs != 15 || s.ScratchHits != 10 || s.ScratchMisses != 4 || s.SequentialLanes != 2 {
 		t.Errorf("after Add: %+v", s)
 	}
 	str := s.String()
-	for _, want := range []string{"plans=3", "runs=15", "(5.0 runs/plan)", "hits=10", "misses=4"} {
+	for _, want := range []string{"plans=3", "runs=15", "(5.0 runs/plan)", "hits=10", "misses=4", "sequential lanes=2"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("String = %q, missing %q", str, want)
 		}

@@ -85,20 +85,26 @@ func simOracle(t *testing.T, path string, procs, runs int, seed int64) []int {
 	return finishes
 }
 
+// postJSON POSTs req and returns the status and body. Client goroutines
+// call it, so it reports transport errors with t.Errorf (t.Fatalf must
+// run on the test goroutine) and returns status 0.
 func postJSON(t *testing.T, url string, req serve.Request) (int, []byte) {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("marshal: %v", err)
+		return 0, nil
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Errorf("POST %s: %v", url, err)
+		return 0, nil
 	}
 	defer resp.Body.Close()
 	var body bytes.Buffer
 	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+		t.Errorf("POST %s: reading body: %v", url, err)
+		return 0, nil
 	}
 	return resp.StatusCode, body.Bytes()
 }
@@ -374,9 +380,16 @@ func TestGracefulDrain(t *testing.T) {
 			statuses <- status
 		}(i)
 	}
-	// Shut down while the burst is still being served.
+	// Shut down while the burst is still being served, but only once
+	// every request is admitted: a connection still in the listener's
+	// accept queue when Shutdown closes it is reset, not drained.
 	deadline := time.Now().Add(2 * time.Second)
-	for api.Stats().Inflight == 0 && time.Now().Before(deadline) {
+	for api.Stats().Admitted < n {
+		if time.Now().After(deadline) {
+			// Fail, but still shut down and wait for the clients below.
+			t.Errorf("only %d of %d requests admitted within 2s", api.Stats().Admitted, n)
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
