@@ -92,9 +92,9 @@ type (
 	// ExpConfig parameterizes an experiment reproduction.
 	ExpConfig = exp.Config
 	// ScheduleCache memoizes scheduling runs by DAG content; attach one
-	// via Options.Cache or ExpConfig.Cache. The concrete implementation is
-	// a sharded, bounded LRU with per-key singleflight whose hits are
-	// byte-identical to fresh runs (see internal/schedcache).
+	// via Options.Cache. The concrete implementation is a sharded, bounded
+	// LRU with per-key singleflight whose hits are byte-identical to fresh
+	// runs (see internal/schedcache).
 	ScheduleCache = schedcache.Cache
 	// CacheStats are a schedule cache's traffic counters.
 	CacheStats = metrics.MemoStats
@@ -228,17 +228,17 @@ func WriteTraceChrome(w io.Writer, r *TraceRing) error { return obsv.WriteChrome
 
 // ScheduleBatch schedules every DAG across opts.Parallelism workers.
 // Item i uses opts.Seed+i, so results — and, with opts.Recorder set, the
-// merged trace stream — are identical for every worker count. With
-// opts.Cache set, every item uses opts.Seed itself and duplicate DAGs
-// share one computation.
-func ScheduleBatch(gs []*Graph, opts Options) ([]*Schedule, error) {
+// merged trace stream — are identical for every worker count and with or
+// without opts.Cache. Every item is attempted: errs[i] is item i's error
+// and out[i] is nil exactly when it is set. err reports invalid opts only.
+func ScheduleBatch(gs []*Graph, opts Options) (out []*Schedule, errs []error, err error) {
 	return core.ScheduleBatch(gs, opts)
 }
 
 // NewScheduleCache returns a schedule cache bounded to capacity resident
 // entries (<= 0 selects the default, 1024). Attach it via Options.Cache
-// (ScheduleGraph, ScheduleBatch, CompileCF) or ExpConfig.Cache; hits are
-// byte-identical to uncached runs.
+// (ScheduleGraph, ScheduleBatch, CompileCF); hits are byte-identical to
+// uncached runs, so a cache changes only the work performed.
 func NewScheduleCache(capacity int) *ScheduleCache { return schedcache.New(capacity) }
 
 // ScheduleVLIW schedules the DAG on a lock-step VLIW with the given number

@@ -500,38 +500,24 @@ func batchGraphs(b *testing.B, uniques, copies int) []*dag.Graph {
 	return gs
 }
 
-// BenchmarkScheduleBatchUncached measures a duplicate-heavy batch (16
-// distinct 40-statement blocks, 8 copies each = 87.5% duplicates) through
-// the plain per-item path. Baseline for BenchmarkScheduleBatchCached.
-func BenchmarkScheduleBatchUncached(b *testing.B) {
+// BenchmarkScheduleBatch measures a duplicate-heavy batch (16 distinct
+// 40-statement blocks, 8 copies each) through ScheduleBatch. Every item
+// schedules with its own seed, so duplicates cost as much as uniques.
+func BenchmarkScheduleBatch(b *testing.B) {
 	gs := batchGraphs(b, 16, 8)
 	opts := core.DefaultOptions(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ScheduleBatch(gs, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScheduleBatchCached runs the identical duplicate-heavy batch
-// with a fresh content-addressed cache per iteration: each distinct DAG
-// schedules once, the other 87.5% of items are cache hits.
-func BenchmarkScheduleBatchCached(b *testing.B) {
-	gs := batchGraphs(b, 16, 8)
-	opts := core.DefaultOptions(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts.Cache = schedcache.New(0)
-		if _, err := core.ScheduleBatch(gs, opts); err != nil {
+		if _, _, err := core.ScheduleBatch(gs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkScheduleCacheHit measures the warm hit path of the schedule
-// cache with a pointer-identical graph: fingerprint memo + shard lookup.
-// The allocs/op column is the pinned 0-allocation guarantee.
+// cache with a pointer-identical graph: the index-order content hash, the
+// shard lookup and the dag.Equal check. The allocs/op column is the
+// pinned 0-allocation guarantee.
 func BenchmarkScheduleCacheHit(b *testing.B) {
 	g := benchGraph(b, 60, 10, 1)
 	opts := core.DefaultOptions(8)
@@ -548,25 +534,28 @@ func BenchmarkScheduleCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures one cold canonical-fingerprint
-// computation (WL refinement + canonical hash) on a 60-statement DAG.
+// fingerprintSink keeps BenchmarkFingerprint's result live.
+var fingerprintSink schedcache.Fingerprint
+
+// BenchmarkFingerprint measures one content-fingerprint computation (the
+// cache key's one-pass index-order hash) on 60- and 200-statement DAGs.
 func BenchmarkFingerprint(b *testing.B) {
-	blocks := make([]*dag.Graph, 64)
-	for i := range blocks {
-		blocks[i] = benchGraph(b, 60, 10, int64(2000+i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// MemoFingerprint caches per graph object; rotate so most calls
-		// in a small-N run are cold.
-		schedcache.FingerprintOf(blocks[i%len(blocks)])
+	for _, stmts := range []int{60, 200} {
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			g := benchGraph(b, stmts, 10, 2000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fingerprintSink = schedcache.FingerprintOf(g)
+			}
+		})
 	}
 }
 
-// BenchmarkCompileCFCached measures control-flow compilation of a
-// loop-heavy program whose lowered blocks repeat, with and without the
-// schedule cache deduplicating identical blocks.
-func BenchmarkCompileCFCached(b *testing.B) {
+// BenchmarkCompileCF measures control-flow compilation (lowering,
+// simplification and per-block scheduling) of a loop-heavy program whose
+// lowered blocks repeat.
+func BenchmarkCompileCF(b *testing.B) {
 	src := `s = 0
 i = 32
 while i {
@@ -584,26 +573,14 @@ while k {
 	k = k - 1
 }`
 	prog := lang.MustParseCF(src)
-	for _, cached := range []bool{false, true} {
-		name := "uncached"
-		if cached {
-			name = "cached"
+	for i := 0; i < b.N; i++ {
+		lowered, err := cfg.Lower(prog)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lowered, err := cfg.Lower(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lowered.Simplify()
-				opts := core.DefaultOptions(8)
-				if cached {
-					opts.Cache = schedcache.New(0)
-				}
-				if err := lowered.Compile(opts, ir.DefaultTimings()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		lowered.Simplify()
+		if err := lowered.Compile(core.DefaultOptions(8), ir.DefaultTimings()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 // Command bmserve is the scheduling-and-simulation daemon: an HTTP/JSON
-// service over the batch scheduling engine whose hot path coalesces
-// concurrent requests — grouped by scheduling options inside a bounded
-// time window — into single ScheduleBatch calls that share the schedule
-// cache, dedupe identical programs, and fan merged simulation sweeps
+// service over the scheduling engine whose hot path coalesces concurrent
+// requests — grouped by scheduling options inside a bounded time window —
+// into batches that dedupe identical programs, schedule each unique one
+// through the shared schedule cache, and fan merged simulation sweeps
 // through the lane-parallel RunMany kernel. Responses are byte-identical
 // to bmsched -json and bmsim for the same inputs and seeds.
 //

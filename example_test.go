@@ -105,7 +105,8 @@ func ExampleCompileSim() {
 // ExampleScheduleBatch_trace schedules several DAGs concurrently with a
 // trace recorder attached. Per-item event streams are replayed in item
 // order, so the merged trace is identical for every Parallelism value;
-// each item contributes exactly one sched-done event.
+// each item contributes exactly one sched-done event. Every item is
+// attempted and reports its own error.
 func ExampleScheduleBatch_trace() {
 	var graphs []*barriermimd.Graph
 	for _, src := range []string{"c = a + b", "f = d * e\ng = f - d", "x = y % z"} {
@@ -127,9 +128,14 @@ func ExampleScheduleBatch_trace() {
 	opts.Parallelism = 4
 	ring := barriermimd.NewTraceRing(1 << 12)
 	opts.Recorder = ring
-	scheds, err := barriermimd.ScheduleBatch(graphs, opts)
+	scheds, errs, err := barriermimd.ScheduleBatch(graphs, opts)
 	if err != nil {
-		panic(err)
+		panic(err) // invalid options
+	}
+	for i, err := range errs {
+		if err != nil {
+			panic(fmt.Sprintf("item %d: %v", i, err)) // one item failed; the others are still in scheds
+		}
 	}
 	done := 0
 	for _, ev := range ring.Events() {

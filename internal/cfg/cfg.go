@@ -156,13 +156,6 @@ func (p *Program) lower(stmts []lang.Stmt, cur *BasicBlock) (*BasicBlock, error)
 	return cur, nil
 }
 
-// planCache is the optional fast path a core.ScheduleCache can provide:
-// a memoized schedule with its machine plan attached, compiled once per
-// cache entry. internal/schedcache.Cache implements it.
-type planCache interface {
-	SchedulePlan(g *dag.Graph, opts core.Options) (*core.Schedule, *machine.Plan, error)
-}
-
 // Compile compiles and schedules every basic block with the section 4
 // pipeline under the given scheduler options and timing model. Blocks are
 // independent (each starts at a full machine-wide barrier), so they are
@@ -171,17 +164,13 @@ type planCache interface {
 // contents and the options, so the result is identical for any
 // Parallelism value.
 //
-// By default each block schedules with a block-derived seed
-// (opts.Seed + ID*7919). When opts.Cache is non-nil, every block uses
-// opts.Seed itself instead, so blocks whose optimized tuples are
-// identical — common in lowered control flow, where loop bodies and join
-// blocks repeat — share one scheduling run and, when the cache supports
-// it, one compiled machine plan.
+// Each block schedules with a block-derived seed (opts.Seed + ID*7919),
+// with or without opts.Cache: a cache only memoizes runs, so it never
+// changes a block's schedule.
 func (p *Program) Compile(opts core.Options, tm ir.TimingModel) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	pc, _ := opts.Cache.(planCache)
 	return pool.ForEach(opts.Parallelism, len(p.Blocks), func(i int) error {
 		b := p.Blocks[i]
 		flat := &lang.Program{Stmts: b.Assigns}
@@ -198,20 +187,12 @@ func (p *Program) Compile(opts core.Options, tm ir.TimingModel) error {
 			return fmt.Errorf("cfg: block B%d: %w", b.ID, err)
 		}
 		blockOpts := opts
-		if opts.Cache == nil {
-			blockOpts.Seed = opts.Seed + int64(b.ID)*7919
+		blockOpts.Seed = opts.Seed + int64(b.ID)*7919
+		s, err := core.ScheduleDAG(g, blockOpts)
+		if err != nil {
+			return fmt.Errorf("cfg: block B%d: %w", b.ID, err)
 		}
-		var s *core.Schedule
-		var plan *machine.Plan
-		if pc != nil {
-			blockOpts.Cache = nil
-			s, plan, err = pc.SchedulePlan(g, blockOpts)
-		} else {
-			s, err = core.ScheduleDAG(g, blockOpts)
-			if err == nil {
-				plan, err = machine.Compile(s, s.Opts.Machine)
-			}
-		}
+		plan, err := machine.Compile(s, s.Opts.Machine)
 		if err != nil {
 			return fmt.Errorf("cfg: block B%d: %w", b.ID, err)
 		}

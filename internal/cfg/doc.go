@@ -16,7 +16,7 @@
 // Blocks are mutually independent at compile time, so Program.Compile
 // schedules them concurrently across Options.Parallelism workers; each
 // block derives its own seed from its ID, making the compiled program
-// identical for every worker count.
+// identical for every worker count and with or without a schedule cache.
 //
 // Branch decisions are taken from the final value of a compiler-generated
 // condition variable after the block's barrier, so all processors agree on

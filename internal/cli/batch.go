@@ -13,14 +13,13 @@ import (
 // file, schedule all the valid ones concurrently across opts.Parallelism
 // workers (the -j flag), and print one summary line per file in argument
 // order followed by aggregate counters. A file that fails to read,
-// compile, or build does not abort the batch: its error is reported on
-// stderr in argument order, the remaining files are still scheduled, and
-// the exit status is nonzero with a failure-count summary.
+// compile, build, or schedule does not abort the batch: its error is
+// reported on stderr in argument order, the remaining files are still
+// scheduled, and the exit status is nonzero with a failure-count summary.
 //
-// Without a cache, item i of the valid subset is scheduled with seed
-// opts.Seed + i, exactly as core.ScheduleBatch documents; with -cache,
-// every item uses opts.Seed so duplicate inputs schedule once. Output is
-// identical for every -j value either way.
+// Item i of the valid subset is scheduled with seed opts.Seed + i, exactly
+// as core.ScheduleBatch documents, so output is identical for every -j
+// value.
 func schedBatch(paths []string, opts core.Options, asJSON bool, stdout, stderr io.Writer) int {
 	gs := make([]*dag.Graph, 0, len(paths))
 	srcIdx := make([]int, 0, len(paths)) // gs position -> paths index
@@ -45,13 +44,17 @@ func schedBatch(paths []string, opts core.Options, asJSON bool, stdout, stderr i
 		srcIdx = append(srcIdx, i)
 	}
 
-	batch, err := core.ScheduleBatch(gs, opts)
+	batch, batchErrs, err := core.ScheduleBatch(gs, opts)
 	if err != nil {
 		return fail(stderr, "bmsched", err)
 	}
 	scheds := make([]*core.Schedule, len(paths))
 	for k, s := range batch {
-		scheds[srcIdx[k]] = s
+		i := srcIdx[k]
+		scheds[i] = s
+		if batchErrs[k] != nil {
+			errs[i] = fmt.Errorf("%s: %w", paths[i], batchErrs[k])
+		}
 	}
 
 	code := 0
@@ -114,9 +117,6 @@ func schedBatch(paths []string, opts core.Options, asJSON bool, stdout, stderr i
 	fmt.Fprintf(stdout, "  path-cache: %s\n", total.PathCache.String())
 	if total.Stages != nil {
 		fmt.Fprintf(stdout, "  stages:     %s\n", total.Stages.String())
-	}
-	if opts.Cache != nil {
-		fmt.Fprintf(stdout, "  sched-cache: %s\n", opts.Cache.Stats().String())
 	}
 	if failed > 0 {
 		fmt.Fprintf(stderr, "bmsched: %d of %d files failed\n", failed, len(paths))

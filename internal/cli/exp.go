@@ -11,7 +11,6 @@ import (
 
 	"barriermimd/internal/exp"
 	"barriermimd/internal/machine"
-	"barriermimd/internal/schedcache"
 )
 
 // Exp implements bmexp: regenerate the paper's tables and figures.
@@ -23,8 +22,6 @@ func Exp(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "base seed for benchmark generation")
 	workers := fs.Int("j", 0, "max concurrent trials (0 = all cores); results are identical for any value")
 	lanes := fs.Int("lanes", 0, "seeds per simulated benchmark in sweep experiments (0 = default 16); unlike -j this widens the sweep, so it changes reported means")
-	useCache := fs.Bool("cache", false, "memoize scheduling runs by DAG content across trials; results are identical either way")
-	cacheSize := fs.Int("cachesize", schedcache.DefaultCapacity, "with -cache: max resident schedules before LRU eviction")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	list := fs.Bool("list", false, "list available experiments")
@@ -77,11 +74,6 @@ func Exp(args []string, stdout, stderr io.Writer) int {
 		machine.ResetStats()
 	}
 	cfg := exp.Config{Runs: *runs, Seed: *seed, Workers: *workers, Lanes: *lanes}
-	var cache *schedcache.Cache
-	if *useCache {
-		cache = schedcache.New(*cacheSize)
-		cfg.Cache = cache
-	}
 	for _, n := range names {
 		start := time.Now()
 		r, err := exp.Run(n, cfg)
@@ -123,9 +115,6 @@ func Exp(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "bmexp", err)
 		}
 		fmt.Fprintf(stdout, "[sim stats written to %s: %s]\n", *simStats, st.String())
-	}
-	if cache != nil {
-		fmt.Fprintf(stdout, "[sched-cache: %s]\n", cache.Stats())
 	}
 	if err := session.finish(stderr); err != nil {
 		return fail(stderr, "bmexp", err)

@@ -224,7 +224,7 @@ func collectSchedCache(w *obsv.PromWriter) {
 	w.Counter("barriermimd_schedcache_misses_total", "Schedule-cache lookups that computed and stored a schedule.", "", st.Misses)
 	w.Counter("barriermimd_schedcache_waits_total", "Schedule-cache lookups that blocked on an in-flight computation (singleflight).", "", st.Waits)
 	w.Counter("barriermimd_schedcache_evictions_total", "Schedule-cache entries displaced by the LRU bound.", "", st.Evictions)
-	w.Counter("barriermimd_schedcache_rejected_total", "Schedule-cache fingerprint matches refused by exact-content verification (isomorph or hash collision).", "", st.Rejected)
+	w.Counter("barriermimd_schedcache_rejected_total", "Schedule-cache fingerprint matches refused by exact-content verification (hash collision).", "", st.Rejected)
 }
 
 func collectSched(w *obsv.PromWriter) {

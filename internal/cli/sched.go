@@ -8,7 +8,6 @@ import (
 
 	"barriermimd/internal/core"
 	"barriermimd/internal/ir"
-	"barriermimd/internal/schedcache"
 )
 
 // Sched implements bmsched: compile a program (or the Figure 1 example)
@@ -23,8 +22,6 @@ func Sched(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	insertion := fs.String("insertion", "conservative", "conservative or optimal barrier insertion")
 	seed := fs.Int64("seed", 0, "scheduler tie-break seed")
 	workers := fs.Int("j", 0, "max concurrent schedules with several input files (0 = all cores)")
-	useCache := fs.Bool("cache", false, "memoize scheduling runs by DAG content (duplicate inputs schedule once; batch items stop deriving per-item seeds)")
-	cacheSize := fs.Int("cachesize", schedcache.DefaultCapacity, "with -cache: max resident schedules before LRU eviction")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	example := fs.Bool("example", false, "schedule the paper's Figure 1 example block")
@@ -48,11 +45,6 @@ func Sched(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	opts.Seed = *seed
 	opts.Parallelism = *workers
 	opts.Recorder = session.recorder()
-	var cache *schedcache.Cache
-	if *useCache {
-		cache = schedcache.New(*cacheSize)
-		opts.Cache = cache
-	}
 	if opts.Machine, err = parseMachine(*machineName); err != nil {
 		return fail(stderr, "bmsched", err)
 	}
@@ -65,9 +57,6 @@ func Sched(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(stderr, "bmsched", err)
 	}
 	code := schedMain(fs, opts, stdin, stdout, stderr, *example, *listing, *gantt, *asJSON, *asDot, *seed)
-	if cache != nil {
-		fmt.Fprintf(stderr, "sched-cache: %s\n", cache.Stats())
-	}
 	if perr := stopProfiles(); perr != nil && code == 0 {
 		return fail(stderr, "bmsched", perr)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"barriermimd/internal/dag"
 	"barriermimd/internal/metrics"
 	"barriermimd/internal/obsv"
@@ -20,29 +18,22 @@ const batchTraceCap = 1 << 14
 // Each item i is scheduled with opts.Seed + i as its tie-break seed, so a
 // batch of identical DAGs still explores seed-diverse schedules and —
 // more importantly — the result for every index is a pure function of
-// (gs[i], opts, i): batches are byte-identical across Parallelism values
-// and across runs. Results are written index-addressed; out[i] is the
-// schedule of gs[i].
+// (gs[i], opts, i): batches are byte-identical across Parallelism values,
+// across runs, and with or without opts.Cache (each item goes through
+// ScheduleDAG, which consults the cache under the same seed). Results
+// are written index-addressed; out[i] is the schedule of gs[i].
+//
+// Every item is attempted, whatever the others do: errs[i] is item i's
+// error, and out[i] is nil exactly when errs[i] is not. The last result
+// reports invalid opts only, in which case nothing is scheduled.
 //
 // When opts.Recorder is non-nil, every item records into a private ring
-// and the rings are replayed into opts.Recorder in item order after all
-// workers finish, so the merged trace stream is as deterministic as the
-// schedules themselves.
-//
-// When opts.Cache is non-nil, the per-item seed derivation is dropped:
-// every item is scheduled with opts.Seed itself, so duplicate DAGs within
-// the batch share one key and one computation. The batch is pre-grouped
-// by content — each distinct DAG is scheduled once (through the cache)
-// and its duplicates are served as guaranteed hits — so results remain
-// index-addressed, byte-identical across Parallelism values, and
-// byte-identical to per-item c.Schedule calls; only the seed policy
-// differs from the uncached path, which is why the cache is opt-in.
-func ScheduleBatch(gs []*dag.Graph, opts Options) ([]*Schedule, error) {
+// and the rings — failed items' included — are replayed into
+// opts.Recorder in item order after all workers finish, so the merged
+// trace stream is as deterministic as the schedules themselves.
+func ScheduleBatch(gs []*dag.Graph, opts Options) (out []*Schedule, errs []error, err error) {
 	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Cache != nil {
-		return scheduleBatchCached(gs, opts)
+		return nil, nil, err
 	}
 	var rings []*obsv.Ring
 	if opts.Recorder != nil {
@@ -51,114 +42,21 @@ func ScheduleBatch(gs []*dag.Graph, opts Options) ([]*Schedule, error) {
 			rings[i] = obsv.NewRing(batchTraceCap)
 		}
 	}
-	out := make([]*Schedule, len(gs))
-	err := pool.ForEach(opts.Parallelism, len(gs), func(i int) error {
+	out = make([]*Schedule, len(gs))
+	errs = make([]error, len(gs))
+	pool.ForEach(opts.Parallelism, len(gs), func(i int) error {
 		o := opts
 		o.Seed = opts.Seed + int64(i)
 		if rings != nil {
 			o.Recorder = rings[i]
 		}
-		s, err := ScheduleDAG(gs[i], o)
-		if err != nil {
-			return fmt.Errorf("core: batch item %d: %w", i, err)
-		}
-		out[i] = s
+		out[i], errs[i] = ScheduleDAG(gs[i], o)
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	for _, r := range rings {
 		r.ReplayInto(opts.Recorder)
 	}
-	return out, nil
-}
-
-// scheduleBatchCached is the Options.Cache batch path: group items by DAG
-// content, schedule one representative per group through the cache, then
-// serve the duplicates as cache hits. Serving duplicates serially after
-// the parallel representative pass keeps the output, counter attribution,
-// and trace stream deterministic at every Parallelism value.
-func scheduleBatchCached(gs []*dag.Graph, opts Options) ([]*Schedule, error) {
-	c := opts.Cache
-	opts.Cache = nil
-
-	fps := make([][2]uint64, len(gs))
-	if err := pool.ForEach(opts.Parallelism, len(gs), func(i int) error {
-		hi, lo := c.Fingerprint(gs[i])
-		fps[i] = [2]uint64{hi, lo}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Group by content: fingerprint first, exact index-space equality
-	// within a bucket (isomorphic-but-reindexed graphs share fingerprints
-	// but schedule differently, so they must not share a group).
-	type group struct {
-		rep  int
-		dups []int
-	}
-	buckets := make(map[[2]uint64][]*group)
-	var groups []*group // ascending rep index, by construction
-	for i, g := range gs {
-		var grp *group
-		for _, cand := range buckets[fps[i]] {
-			if gs[cand.rep] == g || dag.Equal(gs[cand.rep], g) {
-				grp = cand
-				break
-			}
-		}
-		if grp == nil {
-			grp = &group{rep: i}
-			buckets[fps[i]] = append(buckets[fps[i]], grp)
-			groups = append(groups, grp)
-			continue
-		}
-		grp.dups = append(grp.dups, i)
-	}
-
-	var rings []*obsv.Ring
-	if opts.Recorder != nil {
-		rings = make([]*obsv.Ring, len(groups))
-		for k := range rings {
-			rings[k] = obsv.NewRing(batchTraceCap)
-		}
-	}
-	out := make([]*Schedule, len(gs))
-	err := pool.ForEach(opts.Parallelism, len(groups), func(k int) error {
-		o := opts
-		o.Recorder = nil
-		if rings != nil {
-			o.Recorder = rings[k]
-		}
-		s, err := c.Schedule(gs[groups[k].rep], o)
-		if err != nil {
-			return fmt.Errorf("core: batch item %d: %w", groups[k].rep, err)
-		}
-		out[groups[k].rep] = s
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rings {
-		r.ReplayInto(opts.Recorder)
-	}
-	// Duplicates: guaranteed hits while their representative is resident.
-	// If a tiny cache evicted it in the meantime, the recompute is
-	// byte-identical anyway (same key, same uniform seed), so results do
-	// not depend on cache capacity.
-	for _, grp := range groups {
-		for _, i := range grp.dups {
-			s, err := c.Schedule(gs[i], opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: batch item %d: %w", i, err)
-			}
-			out[i] = s
-		}
-	}
-	return out, nil
+	return out, errs, nil
 }
 
 // BatchMetrics aggregates the per-run counters of a scheduled batch:

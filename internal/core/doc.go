@@ -5,7 +5,8 @@
 // (4.4.3). ScheduleDAG schedules one instruction dag; ScheduleBatch fans a
 // slice of independent dags across a bounded worker pool with
 // deterministic per-item seeds, so batch results are identical for every
-// Options.Parallelism value.
+// Options.Parallelism value and with or without Options.Cache, and every
+// item reports its own error.
 //
 // # Soundness refinement
 //

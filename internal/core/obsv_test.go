@@ -161,7 +161,7 @@ func TestBatchTraceDeterministicAcrossWorkers(t *testing.T) {
 		opts.Parallelism = workers
 		ring := obsv.NewRing(1 << 16)
 		opts.Recorder = ring
-		scheds, err := ScheduleBatch(gs, opts)
+		scheds, _, err := ScheduleBatch(gs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

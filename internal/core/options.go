@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"barriermimd/internal/dag"
-	"barriermimd/internal/metrics"
 	"barriermimd/internal/obsv"
 )
 
@@ -144,11 +143,9 @@ type Options struct {
 	// stored schedule when the same (DAG content, decision-relevant
 	// options) pair was scheduled before. Cached schedules are shared and
 	// must be treated as immutable; they are byte-identical to a fresh
-	// run, so results do not change — only the work performed. Batch
-	// drivers change one policy under a cache: ScheduleBatch and
-	// cfg.Program.Compile stop deriving per-item seeds and schedule every
-	// item with Seed itself, so duplicate DAGs within a batch share one
-	// computation (see ScheduleBatch). The canonical implementation is
+	// run, and ScheduleBatch and cfg.Program.Compile derive the same
+	// per-item seeds either way, so results do not change — only the work
+	// performed. The canonical implementation is
 	// internal/schedcache.Cache.
 	Cache ScheduleCache
 	// Recorder, when non-nil, receives a structured trace event for every
@@ -187,12 +184,6 @@ type ScheduleCache interface {
 	// cache); opts.Recorder, when non-nil, receives either the computing
 	// run's full event stream or a single cache event on a hit.
 	Schedule(g *dag.Graph, opts Options) (*Schedule, error)
-	// Fingerprint returns the 128-bit canonical content fingerprint of g
-	// used in the cache key. It is a pure function of the graph's
-	// index-space content and stable across processes.
-	Fingerprint(g *dag.Graph) (hi, lo uint64)
-	// Stats snapshots the cache's traffic counters.
-	Stats() metrics.MemoStats
 }
 
 // DefaultOptions returns the paper's default configuration on n processors.

@@ -67,8 +67,6 @@ type Graph struct {
 	finOnce     sync.Once
 	fin         FinishTimes
 	finErr      error
-	fpOnce      sync.Once
-	fp          [2]uint64
 }
 
 // Build constructs the DAG for a block under the given timing model.

@@ -11,9 +11,9 @@ package dag
 // is scheduled.
 //
 // Equal is the exact verifier behind the content-addressed schedule cache
-// (internal/schedcache): fingerprints are isomorphism-stable, so two
-// distinct graphs may share a fingerprint, and Equal decides whether a
-// cached schedule may actually be served.
+// (internal/schedcache): its fingerprint hashes exactly these fields in
+// index order, so Equal graphs always share a key, and Equal confirms
+// every match before a cached schedule is served.
 func Equal(a, b *Graph) bool {
 	if a == b {
 		return true
@@ -40,15 +40,4 @@ func Equal(a, b *Graph) bool {
 		}
 	}
 	return true
-}
-
-// MemoFingerprint returns the graph's memoized 128-bit content fingerprint,
-// computing it with fn on first call. The graph is immutable after Build,
-// so the fingerprint is computed once and shared, like Topo and Heights;
-// the algorithm itself lives in internal/schedcache (the only caller), and
-// fn must be a pure function of the graph's index-space content so every
-// caller computes the same value.
-func (g *Graph) MemoFingerprint(fn func(*Graph) [2]uint64) [2]uint64 {
-	g.fpOnce.Do(func() { g.fp = fn(g) })
-	return g.fp
 }

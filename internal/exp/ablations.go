@@ -55,7 +55,7 @@ func Merge(cfg Config) (*MergeResult, error) {
 		if err != nil {
 			return err
 		}
-		so := cfg.options(8)
+		so := core.DefaultOptions(8)
 		so.Seed = seed
 		s, err := core.ScheduleDAG(g, so)
 		if err != nil {
@@ -158,7 +158,7 @@ func Heuristics(cfg Config) (*HeuristicsResult, error) {
 			if err != nil {
 				return err
 			}
-			o := cfg.options(8)
+			o := core.DefaultOptions(8)
 			o.Seed = seed
 			v.mod(&o)
 			s, err := core.ScheduleDAG(g, o)
@@ -231,7 +231,7 @@ func Optimal(cfg Config) (*OptimalResult, error) {
 		if err != nil {
 			return err
 		}
-		co := cfg.options(8)
+		co := core.DefaultOptions(8)
 		co.Seed = seed
 		c, err := core.ScheduleDAG(g, co)
 		if err != nil {

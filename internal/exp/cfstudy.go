@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"barriermimd/internal/cfg"
+	"barriermimd/internal/core"
 	"barriermimd/internal/ir"
 	"barriermimd/internal/machine"
 	"barriermimd/internal/metrics"
@@ -56,7 +57,7 @@ func CFStudy(cfgc Config) (*CFStudyResult, error) {
 			return err
 		}
 		p.Simplify()
-		opts := cfgc.options(4)
+		opts := core.DefaultOptions(4)
 		opts.Seed = seed
 		if err := p.Compile(opts, ir.DefaultTimings()); err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"barriermimd/internal/core"
 	"barriermimd/internal/machine"
 	"barriermimd/internal/metrics"
 	"barriermimd/internal/mimd"
@@ -40,7 +41,7 @@ func MIMD(cfg Config) (*MIMDResult, error) {
 	bt := make([]float64, cfg.Runs)
 	err := cfg.forEach(cfg.Runs, func(r int) error {
 		seed := cfg.seedAt(0, r)
-		s, err := ScheduleOne(60, 10, seed, cfg.options(8))
+		s, err := ScheduleOne(60, 10, seed, core.DefaultOptions(8))
 		if err != nil {
 			return err
 		}
@@ -122,7 +123,7 @@ func BarrierCost(cfg Config) (*BarrierCostResult, error) {
 	bars := make([]float64, cfg.Runs)
 	plans := make([]*machine.Plan, cfg.Runs)
 	err := cfg.forEach(cfg.Runs, func(r int) error {
-		s, err := ScheduleOne(60, 10, cfg.seedAt(0, r), cfg.options(8))
+		s, err := ScheduleOne(60, 10, cfg.seedAt(0, r), core.DefaultOptions(8))
 		if err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func Fig14(cfg Config) (*Fig14Result, error) {
 			if tis < 65 || tis > 132 {
 				return nil // outside the published population band
 			}
-			opts := cfg.options(8)
+			opts := core.DefaultOptions(8)
 			opts.Seed = seed
 			s, err := core.ScheduleDAG(g, opts)
 			if err != nil {

@@ -54,7 +54,7 @@ func Fig18(cfg Config) (*Fig18Result, error) {
 			if err != nil {
 				return err
 			}
-			opts := cfg.options(procs)
+			opts := core.DefaultOptions(procs)
 			opts.Seed = seed
 			s, err := core.ScheduleDAG(g, opts)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"barriermimd/internal/core"
 	"barriermimd/internal/metrics"
 )
 
@@ -37,7 +38,7 @@ func Lookahead(cfg Config) (*LookaheadResult, error) {
 			span := make([]float64, cfg.Runs)
 			err := cfg.forEach(cfg.Runs, func(r int) error {
 				seed := cfg.seedAt(w*31+procs, r)
-				opts := cfg.options(procs)
+				opts := core.DefaultOptions(procs)
 				opts.Lookahead = w
 				s, err := ScheduleOne(60, 10, seed, opts)
 				if err != nil {

@@ -22,14 +22,6 @@ type Config struct {
 	// aggregated in index order, so reports are bit-identical for every
 	// worker count.
 	Workers int
-	// Cache, when non-nil, memoizes scheduling runs across the
-	// experiment's trials (the bmexp -cache flag). Trials that rebuild
-	// the same DAG under the same decision-relevant options — common in
-	// sweeps that vary a simulation-side parameter over a fixed workload
-	// grid — schedule once and hit thereafter. Results are unchanged:
-	// every trial pins its own seed explicitly, so the batch-level
-	// uniform-seed policy of core.ScheduleBatch never applies here.
-	Cache core.ScheduleCache
 	// Lanes is the simulation batch width (the bmexp -lanes flag): how
 	// many timing seeds the simulation-bearing experiments sweep through
 	// Plan.RunMany per trial; 0 selects DefaultLanes. Lane seeds derive
@@ -42,14 +34,6 @@ type Config struct {
 // DefaultLanes is the simulation batch width experiments use when
 // Config.Lanes is zero.
 const DefaultLanes = 16
-
-// options returns the paper-default scheduling options on procs
-// processors with the experiment's cache attached.
-func (c Config) options(procs int) core.Options {
-	o := core.DefaultOptions(procs)
-	o.Cache = c.Cache
-	return o
-}
 
 func (c Config) withDefaults() Config {
 	if c.Runs == 0 {

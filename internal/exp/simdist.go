@@ -42,7 +42,7 @@ func SimDist(cfg Config) (*SimDistResult, error) {
 	ratio := make([]float64, cfg.Runs)
 	err := cfg.forEach(cfg.Runs, func(r int) error {
 		seed := cfg.seedAt(0, r)
-		s, err := ScheduleOne(60, 10, seed, cfg.options(8))
+		s, err := ScheduleOne(60, 10, seed, core.DefaultOptions(8))
 		if err != nil {
 			return err
 		}

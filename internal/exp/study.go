@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"barriermimd/internal/core"
 	"barriermimd/internal/metrics"
 )
 
@@ -47,7 +48,7 @@ func Study(cfg Config) (*StudyResult, error) {
 				ts := make([]float64, cfg.Runs)
 				counted := make([]bool, cfg.Runs)
 				err := cfg.forEach(cfg.Runs, func(r int) error {
-					sched, err := ScheduleOne(stmts, vars, cfg.seedAt(gridID, r), cfg.options(procs))
+					sched, err := ScheduleOne(stmts, vars, cfg.seedAt(gridID, r), core.DefaultOptions(procs))
 					if err != nil {
 						return err
 					}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"barriermimd/internal/core"
 	"barriermimd/internal/metrics"
 	"barriermimd/internal/plot"
 )
@@ -40,7 +41,7 @@ func sweepFractions(cfg Config, title, xlabel string, points []point) (*Fraction
 		ss := make([]float64, cfg.Runs)
 		ts := make([]float64, cfg.Runs)
 		err := cfg.forEach(cfg.Runs, func(r int) error {
-			s, err := ScheduleOne(pt.stmts, pt.vars, cfg.seedAt(k, r), cfg.options(pt.procs))
+			s, err := ScheduleOne(pt.stmts, pt.vars, cfg.seedAt(k, r), core.DefaultOptions(pt.procs))
 			if err != nil {
 				return err
 			}

@@ -61,8 +61,9 @@ const (
 	// Schedule-cache events (internal/schedcache). Tick is 0: cache
 	// traffic happens between scheduling runs, outside both logical
 	// clocks. Arg0/Arg1 carry the high/low words of the request's
-	// 128-bit canonical DAG fingerprint (bit-cast to int64), which is a
-	// pure function of the graph's content and therefore deterministic;
+	// 128-bit DAG fingerprint (an index-order content hash, bit-cast to
+	// int64), which is a pure function of the graph's content and
+	// therefore deterministic;
 	// which kind fires for a given request depends on the process's cache
 	// state and concurrency, so cached trace streams are deterministic
 	// only for a deterministic request sequence.

@@ -1,24 +1,24 @@
 // Package schedcache memoizes complete scheduling runs behind a
-// content-addressed key: a canonical, isomorphism-stable 128-bit DAG
-// fingerprint (iterative Weisfeiler–Leman refinement over node
-// op/min/max-time labels and edge structure, with a deterministic
-// individualization fallback for symmetric ties) combined with every
-// decision-relevant scheduling option (machine kind, processor count,
-// insertion algorithm, ordering, assignment, lookahead, seed, path
-// limit).
+// content-addressed key: a 128-bit DAG fingerprint that hashes, in index
+// order, exactly what dag.Equal compares (node count, per-node op and
+// min/max time, edge list), combined with every decision-relevant
+// scheduling option (machine kind, processor count, insertion algorithm,
+// ordering, assignment, lookahead, seed, path limit).
 //
 // The cache is a sharded, bounded LRU holding immutable *core.Schedule
 // values with lazily attached *machine.Plan compilations, fronted by
 // per-key singleflight so a novel key is computed exactly once under
-// concurrency. Because the scheduler's random tie-breaks read node
-// indices, isomorphic-but-reindexed graphs can legally schedule
-// differently; every fingerprint match is therefore verified with
-// dag.Equal before being served, which makes cache hits byte-identical
-// to fresh runs by construction.
+// concurrency. Every fingerprint match is verified with dag.Equal before
+// being served (a failed check is a hash collision, counted Rejected and
+// scheduled fresh), which makes cache hits byte-identical to fresh runs by
+// construction. A cache therefore changes only the work performed, never
+// the output: ScheduleBatch and cfg.Program.Compile derive the same
+// per-item seeds with or without one.
 //
-// Wire a cache into the pipeline via core.Options.Cache (consulted by
-// core.ScheduleDAG, core.ScheduleBatch, and cfg.Program.Compile), or use
-// the bmsched/bmexp -cache flag. Traffic counters surface through
+// bmserve schedules every unique request source through one Cache.
+// Library callers can attach one via core.Options.Cache, which
+// core.ScheduleDAG consults (and so core.ScheduleBatch and
+// cfg.Program.Compile, item by item). Traffic counters surface through
 // Cache.Stats, the process-wide GlobalStats (exported as
 // barriermimd_schedcache_*_total by the Prometheus registry), and obsv
 // trace events (sched-cache-{hit,miss,wait,evict}).

@@ -1,46 +1,44 @@
 package schedcache
 
-import (
-	"sort"
+import "barriermimd/internal/dag"
 
-	"barriermimd/internal/dag"
-)
-
-// Fingerprint is a 128-bit content address for an instruction DAG. It is a
-// pure function of the graph's node labels (operation, minimum and maximum
-// execution time) and edge structure, computed by iterative refinement
-// (1-dimensional Weisfeiler–Leman) with a deterministic canonical-order
-// fallback for symmetric ties, so:
+// Fingerprint is a 128-bit content address for an instruction DAG. It
+// hashes exactly what dag.Equal compares, in index order: the node count,
+// every node's minimum and maximum execution time, every real node's
+// operation, and the edge list in slice order. So:
 //
-//   - two graphs that are identical in index space always collide;
-//   - two graphs that are isomorphic under a node relabeling almost always
-//     collide too (the refinement never looks at node indices until every
-//     symmetry-breaking avenue is exhausted);
-//   - two graphs with different structure or labels collide only with
-//     2^-128 hash probability.
+//   - two graphs that are dag.Equal always collide;
+//   - any other pair collides only with 2^-128 hash probability.
 //
-// Isomorphic-but-differently-indexed graphs deliberately share a
-// fingerprint even though the scheduler is not permutation-equivariant
-// (tie-break shuffles read index order), which is why the cache verifies
-// every fingerprint match with dag.Equal before serving it.
+// A relabeled copy of a graph gets a different fingerprint, which is what
+// the cache wants: the scheduler's random tie-breaks read node indices, so
+// a relabeled graph can legally schedule differently. The cache still
+// confirms every match with dag.Equal before serving it.
 type Fingerprint struct{ Hi, Lo uint64 }
 
-// Fingerprint returns g's canonical fingerprint, memoized on the graph
-// (graphs are immutable after dag.Build, so it is computed at most once
-// per graph object).
-func (c *Cache) Fingerprint(g *dag.Graph) (hi, lo uint64) {
-	fp := fingerprintOf(g)
-	return fp.Hi, fp.Lo
-}
-
-// FingerprintOf returns g's canonical fingerprint (package-level form).
+// FingerprintOf returns g's content fingerprint: one pass over the graph
+// into two independent splitmix lanes, with no allocation.
 func FingerprintOf(g *dag.Graph) Fingerprint {
-	return fingerprintOf(g)
-}
-
-func fingerprintOf(g *dag.Graph) Fingerprint {
-	w := g.MemoFingerprint(computeFingerprint)
-	return Fingerprint{Hi: w[0], Lo: w[1]}
+	n := uint64(g.N)
+	h1 := mix64(n)
+	h2 := mix64(n ^ 0xA5A5A5A5A5A5A5A5)
+	for i, t := range g.Time {
+		v := combine(mix64(uint64(int64(t.Min))), uint64(int64(t.Max)))
+		if i < g.N {
+			v = combine(v, uint64(g.Block.Tuples[i].Op))
+		}
+		h1 = combine(h1, v)
+		h2 = combine(h2, v^0xC3C3C3C3C3C3C3C3)
+	}
+	edges := g.Edges()
+	h1 = combine(h1, uint64(len(edges)))
+	h2 = combine(h2, uint64(len(edges)))
+	for _, e := range edges {
+		v := uint64(e.From)<<32 | uint64(uint32(e.To))
+		h1 = combine(h1, v)
+		h2 = combine(h2, mix64(v))
+	}
+	return Fingerprint{Hi: h1, Lo: h2}
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler with good
@@ -59,244 +57,4 @@ func mix64(x uint64) uint64 {
 // combine folds v into h order-dependently.
 func combine(h, v uint64) uint64 {
 	return mix64(h ^ (v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)))
-}
-
-// dummyOpLabel tags the entry/exit dummies, whose ir.Op is not meaningful.
-const dummyOpLabel = 0xDD
-
-// refiner holds the working state of one fingerprint computation.
-type refiner struct {
-	g      *dag.Graph
-	n      int
-	labels []uint64 // current refinement label per node
-	next   []uint64 // next-round labels
-	neigh  []uint64 // scratch for one node's neighbor multiset
-}
-
-// computeFingerprint is the memoized compute function behind FingerprintOf.
-// It must stay a pure function of g's index-space content: every byte of
-// the result derives from node labels and edge structure alone.
-func computeFingerprint(g *dag.Graph) [2]uint64 {
-	n := g.Exit + 1 // real nodes + entry + exit
-	r := &refiner{
-		g:      g,
-		n:      n,
-		labels: make([]uint64, n),
-		next:   make([]uint64, n),
-	}
-
-	// Initial labels: (op, min time, max time, in/out degree). Indices are
-	// untouched, so any relabeling of the graph starts from the same
-	// multiset of labels.
-	for i := 0; i < n; i++ {
-		var op uint64 = dummyOpLabel
-		if !g.IsDummy(i) {
-			op = uint64(g.Block.Tuples[i].Op)
-		}
-		h := mix64(op)
-		h = combine(h, uint64(int64(g.Time[i].Min)))
-		h = combine(h, uint64(int64(g.Time[i].Max)))
-		h = combine(h, uint64(len(g.Preds(i))))
-		h = combine(h, uint64(len(g.Succs(i))))
-		r.labels[i] = h
-	}
-
-	r.refineToFixpoint()
-
-	// Canonical-order fallback: refinement can stall with symmetric nodes
-	// sharing a label (e.g. two identical independent chains). Break such
-	// ties deterministically and isomorphism-stably: individualize the
-	// member of the first ambiguous class whose individualized refinement
-	// yields the smallest class signature, and refine again. Each round
-	// makes at least one class smaller, so the loop terminates; a safety
-	// cap bounds pathological inputs, after which remaining ties fall back
-	// to index order (deterministic, merely no longer relabeling-stable).
-	for round := 0; round < r.n; round++ {
-		class := r.firstAmbiguousClass()
-		if class == nil {
-			break
-		}
-		r.individualize(r.canonicalMember(class))
-		r.refineToFixpoint()
-	}
-
-	// Final hash over nodes in canonical-label order and edges in
-	// canonical endpoint order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if r.labels[order[a]] != r.labels[order[b]] {
-			return r.labels[order[a]] < r.labels[order[b]]
-		}
-		return order[a] < order[b] // unreachable unless the cap above hit
-	})
-	pos := r.next[:n] // reuse as canonical position table
-	for p, i := range order {
-		pos[i] = uint64(p)
-	}
-
-	h1 := mix64(uint64(n))
-	h2 := mix64(uint64(n) ^ 0xA5A5A5A5A5A5A5A5)
-	h1 = combine(h1, uint64(len(g.Edges())))
-	h2 = combine(h2, uint64(len(g.Edges())))
-	for _, i := range order {
-		var op uint64 = dummyOpLabel
-		if !g.IsDummy(i) {
-			op = uint64(g.Block.Tuples[i].Op)
-		}
-		v := mix64(op)
-		v = combine(v, uint64(int64(g.Time[i].Min)))
-		v = combine(v, uint64(int64(g.Time[i].Max)))
-		h1 = combine(h1, v)
-		h2 = combine(h2, v^0xC3C3C3C3C3C3C3C3)
-	}
-	// Edge multiset in canonical coordinates; sort for index independence.
-	edges := make([]uint64, 0, len(g.Edges()))
-	for _, e := range g.Edges() {
-		edges = append(edges, pos[e.From]<<32|pos[e.To])
-	}
-	sort.Slice(edges, func(a, b int) bool { return edges[a] < edges[b] })
-	for _, e := range edges {
-		h1 = combine(h1, e)
-		h2 = combine(h2, mix64(e))
-	}
-	return [2]uint64{h1, h2}
-}
-
-// refineToFixpoint runs WL rounds until the label partition stops gaining
-// classes (or every node is distinguished).
-func (r *refiner) refineToFixpoint() {
-	classes := r.countClasses()
-	for {
-		r.refineOnce()
-		c := r.countClasses()
-		if c == classes || c == r.n {
-			return
-		}
-		classes = c
-	}
-}
-
-// refineOnce replaces every label with a hash of (old label, sorted pred
-// labels, sorted succ labels). Sorting the neighbor multisets keeps the
-// update index-free.
-func (r *refiner) refineOnce() {
-	for i := 0; i < r.n; i++ {
-		h := mix64(r.labels[i])
-		h = r.foldNeighbors(h, r.g.Preds(i), 0x9E)
-		h = r.foldNeighbors(h, r.g.Succs(i), 0x3C)
-		r.next[i] = h
-	}
-	r.labels, r.next = r.next, r.labels
-}
-
-// foldNeighbors folds the sorted multiset of one adjacency list's labels
-// into h, salted by side so predecessors and successors stay distinct.
-func (r *refiner) foldNeighbors(h uint64, adj []int, side uint64) uint64 {
-	ns := r.neigh[:0]
-	for _, v := range adj {
-		ns = append(ns, r.labels[v])
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-	r.neigh = ns
-	h = combine(h, side)
-	for _, v := range ns {
-		h = combine(h, v)
-	}
-	return h
-}
-
-// countClasses returns the number of distinct labels.
-func (r *refiner) countClasses() int {
-	ls := append(r.neigh[:0], r.labels...)
-	sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-	r.neigh = ls[:0]
-	c := 0
-	for i, v := range ls {
-		if i == 0 || v != ls[i-1] {
-			c++
-		}
-	}
-	return c
-}
-
-// firstAmbiguousClass returns the members of the non-singleton label class
-// with the smallest label value, or nil when the partition is discrete.
-// Selecting by label value (never node index) keeps the choice stable
-// under relabeling.
-func (r *refiner) firstAmbiguousClass() []int {
-	var bestLabel uint64
-	var members []int
-	for i := 0; i < r.n; i++ {
-		l := r.labels[i]
-		count := 0
-		for j := 0; j < r.n; j++ {
-			if r.labels[j] == l {
-				count++
-			}
-		}
-		if count < 2 {
-			continue
-		}
-		if members == nil || l < bestLabel {
-			bestLabel = l
-			members = members[:0]
-			for j := 0; j < r.n; j++ {
-				if r.labels[j] == l {
-					members = append(members, j)
-				}
-			}
-		}
-	}
-	return members
-}
-
-// canonicalMember picks which member of an ambiguous class to
-// individualize: the one whose individualized refinement produces the
-// lexicographically smallest sorted label vector. All members are
-// symmetric under some automorphism in the common case, making any choice
-// equivalent; comparing refinement outcomes keeps the choice deterministic
-// and index-free even when they are not.
-func (r *refiner) canonicalMember(class []int) int {
-	if len(class) == 2 {
-		// A 2-element class under a label-preserving automorphism gives
-		// identical outcomes either way; skip the trial refinements.
-		outA := r.trialSignature(class[0])
-		outB := r.trialSignature(class[1])
-		if outB < outA {
-			return class[1]
-		}
-		return class[0]
-	}
-	best := class[0]
-	bestSig := r.trialSignature(best)
-	for _, m := range class[1:] {
-		if sig := r.trialSignature(m); sig < bestSig {
-			best, bestSig = m, sig
-		}
-	}
-	return best
-}
-
-// trialSignature individualizes m on a copy of the labels, refines to a
-// fixpoint, and hashes the sorted label vector.
-func (r *refiner) trialSignature(m int) uint64 {
-	saved := append([]uint64(nil), r.labels...)
-	r.individualize(m)
-	r.refineToFixpoint()
-	ls := append([]uint64(nil), r.labels...)
-	sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-	sig := mix64(0x51)
-	for _, v := range ls {
-		sig = combine(sig, v)
-	}
-	copy(r.labels, saved)
-	return sig
-}
-
-// individualize gives node m a unique label derived from its current one.
-func (r *refiner) individualize(m int) {
-	r.labels[m] = combine(r.labels[m], 0xF00D)
 }

@@ -22,8 +22,8 @@ const DefaultCapacity = 1024
 const numShards = 16
 
 // Key is the full decision-relevant identity of a scheduling run: the
-// DAG's canonical content fingerprint plus every Options field that can
-// change ScheduleDAG's output. Parallelism, Recorder, and Cache are
+// DAG's content fingerprint plus every Options field that can change
+// ScheduleDAG's output. Parallelism, Recorder, and Cache are
 // deliberately excluded — schedules are byte-identical across all their
 // values.
 type Key struct {
@@ -49,7 +49,7 @@ func KeyFor(g *dag.Graph, opts core.Options) Key {
 		pl = defaultPathLimit
 	}
 	return Key{
-		FP:         fingerprintOf(g),
+		FP:         FingerprintOf(g),
 		Processors: opts.Processors,
 		Machine:    opts.Machine,
 		Insertion:  opts.Insertion,
@@ -100,13 +100,11 @@ type shard struct {
 // computed exactly once — concurrent requests for it block on the first
 // (counted as Waits) rather than scheduling redundantly.
 //
-// Correctness: the fingerprint alone does not prove two graphs will
-// schedule identically (the scheduler's tie-breaks read node indices, so
-// isomorphic-but-reindexed graphs can legally differ). Every fingerprint
-// match is therefore verified with dag.Equal before being served; a match
-// that fails verification is counted Rejected and the request is
-// scheduled fresh, uncached. Served hits are byte-identical to a fresh
-// ScheduleDAG run by construction.
+// Correctness: a 128-bit hash match is not a proof of equality, so every
+// fingerprint match is verified with dag.Equal before being served; a
+// match that fails verification (a hash collision) is counted Rejected
+// and the request is scheduled fresh, uncached. Served hits are
+// byte-identical to a fresh ScheduleDAG run by construction.
 type Cache struct {
 	capacity int
 	shards   [numShards]shard
@@ -180,9 +178,9 @@ func (c *Cache) Schedule(g *dag.Graph, opts core.Options) (*core.Schedule, error
 			global.hits.Add(1)
 			return serveHit(ent, g, rec)
 		}
-		// Same fingerprint, different index-space content: an isomorph or
-		// a 2^-128 collision. Either way the cached schedule is not valid
-		// for g; schedule fresh and leave the resident entry alone.
+		// Same fingerprint, different index-space content: a 2^-128
+		// collision. The cached schedule is not valid for g; schedule
+		// fresh and leave the resident entry alone.
 		sh.mu.Unlock()
 		c.reject(key, rec)
 		return core.ScheduleDAG(g, scrubOpts(opts))
@@ -318,20 +316,6 @@ func scrubOpts(opts core.Options) core.Options {
 	return opts
 }
 
-// SchedulePlan returns the memoized schedule for (g, opts) together with
-// its compiled machine plan (see Plan).
-func (c *Cache) SchedulePlan(g *dag.Graph, opts core.Options) (*core.Schedule, *machine.Plan, error) {
-	sched, err := c.Schedule(g, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := c.Plan(g, opts, sched)
-	if err != nil {
-		return sched, nil, err
-	}
-	return sched, plan, nil
-}
-
 // Plan returns the compiled machine plan of sched, a schedule this cache
 // returned for (g, opts). The plan is built at most once per cache entry
 // and shared by every subsequent caller; a schedule whose entry is gone
@@ -352,8 +336,7 @@ func (c *Cache) Plan(g *dag.Graph, opts core.Options, sched *core.Schedule) (*ma
 	return ent.plan, ent.planErr
 }
 
-// Stats snapshots this cache's traffic counters. It implements
-// core.ScheduleCache.
+// Stats snapshots this cache's traffic counters.
 func (c *Cache) Stats() metrics.MemoStats {
 	return metrics.MemoStats{
 		Hits:      c.hits.Load(),

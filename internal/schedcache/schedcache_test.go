@@ -5,9 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"barriermimd/internal/cfg"
 	"barriermimd/internal/core"
 	"barriermimd/internal/dag"
-	"barriermimd/internal/metrics"
+	"barriermimd/internal/ir"
+	"barriermimd/internal/lang"
+	"barriermimd/internal/machine"
 	"barriermimd/internal/obsv"
 	"barriermimd/internal/schedcache"
 )
@@ -176,13 +179,18 @@ func TestCacheReboundHit(t *testing.T) {
 	}
 }
 
-// TestCacheRejectsIsomorphCollisions: isomorphic-but-reindexed graphs share
-// a fingerprint by design, but the scheduler is not permutation-equivariant,
-// so the cache must refuse to serve one's schedule for the other.
+// TestCacheRejectsIsomorphCollisions: isomorphic-but-reindexed graphs can
+// legally schedule differently, because the scheduler's tie-breaks read
+// node indices, so the cache must never serve one's schedule for the
+// other. The index-order key keeps them apart: two keys, two misses, no
+// rejection, and each graph gets its own fresh schedule.
 func TestCacheRejectsIsomorphCollisions(t *testing.T) {
 	g1, g2 := isomorphPair(t)
-	if schedcache.FingerprintOf(g1) != schedcache.FingerprintOf(g2) {
-		t.Skip("pair no longer collides; fingerprint got stronger than isomorphism")
+	if dag.Equal(g1, g2) {
+		t.Fatal("pair must differ in index space for this test to mean anything")
+	}
+	if schedcache.FingerprintOf(g1) == schedcache.FingerprintOf(g2) {
+		t.Fatal("reindexed isomorphs share a fingerprint")
 	}
 	opts := core.DefaultOptions(3)
 	opts.Seed = 11
@@ -195,19 +203,18 @@ func TestCacheRejectsIsomorphCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.Rejected != 1 {
-		t.Fatalf("stats = %v, want exactly one rejection", st)
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || st.Rejected != 0 {
+		t.Fatalf("stats = %v, want 2 misses and no hit or rejection", st)
 	}
 	fresh, err := core.ScheduleDAG(g2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(exportJSON(t, s2), exportJSON(t, fresh)) {
-		t.Fatal("rejected-path schedule differs from fresh run")
+		t.Fatal("second isomorph's schedule differs from a fresh run")
 	}
 	if s2.Graph != g2 {
-		t.Fatal("rejected-path schedule carries the wrong graph")
+		t.Fatal("second isomorph's schedule carries the wrong graph")
 	}
 }
 
@@ -355,35 +362,39 @@ func TestSchedulePlanSharesCompiledPlan(t *testing.T) {
 	opts := core.DefaultOptions(4)
 	c := schedcache.New(0)
 
-	s1, p1, err := c.SchedulePlan(g, opts)
-	if err != nil {
-		t.Fatal(err)
+	schedulePlan := func() (*core.Schedule, *machine.Plan) {
+		s, err := c.Schedule(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Plan(g, opts, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, p
 	}
-	s2, p2, err := c.SchedulePlan(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1, p1 := schedulePlan()
+	s2, p2 := schedulePlan()
 	if s1 != s2 || p1 != p2 {
-		t.Fatal("plan not shared across SchedulePlan calls")
+		t.Fatal("plan not shared across lookups")
 	}
 	if p1 == nil {
 		t.Fatal("nil plan")
 	}
-	// Plan hands out the same shared plan without counting a lookup.
-	if p3, err := c.Plan(g, opts, s1); err != nil || p3 != p1 {
-		t.Fatalf("Plan = %p, %v; want the shared plan %p", p3, err, p1)
-	}
+	// Plan hands out the shared plan without counting a lookup.
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %v, want 1 miss + 1 hit", st)
 	}
 }
 
-// TestScheduleBatchCachedDedupesAndStaysDeterministic: a duplicate-heavy
-// batch under a cache must (a) schedule each distinct DAG once, (b) match
-// per-item cache calls with the uniform batch seed at every index, and
-// (c) produce byte-identical results and trace streams at every
-// Parallelism value.
-func TestScheduleBatchCachedDedupesAndStaysDeterministic(t *testing.T) {
+// TestCacheIsOutputNeutral is the cache-transparency contract:
+// ScheduleBatch and cfg.Program.Compile derive the same per-item seeds
+// with or without a cache, so their output is byte-identical either way. A duplicate-heavy
+// ScheduleBatch must export the same JSON at every index with a cache as
+// without one, at Parallelism 1, 2 and 8, with one trace stream per mode
+// at every Parallelism; and cfg.Program.Compile on a loop-heavy program,
+// whose lowered blocks repeat, must give every block the same schedule.
+func TestCacheIsOutputNeutral(t *testing.T) {
 	uniques := make([]*dag.Graph, 4)
 	for i := range uniques {
 		uniques[i] = synthGraph(t, 25, 4, int64(31+i))
@@ -394,62 +405,100 @@ func TestScheduleBatchCachedDedupesAndStaysDeterministic(t *testing.T) {
 		uniques[1], uniques[3], uniques[0], uniques[2],
 		uniques[1], uniques[3], uniques[0], uniques[2],
 	}
-
 	opts := core.DefaultOptions(4)
 	opts.Seed = 5
 
-	runBatch := func(par int) ([]*core.Schedule, string, metrics.MemoStats) {
-		c := schedcache.New(0)
+	runBatch := func(par int, c *schedcache.Cache) (scheds [][]byte, trace string) {
 		o := opts
-		o.Cache = c
+		if c != nil {
+			o.Cache = c
+		}
 		o.Parallelism = par
-		ring := obsv.NewRing(1 << 12)
+		ring := obsv.NewRing(1 << 14)
 		o.Recorder = ring
-		out, err := core.ScheduleBatch(gs, o)
+		out, errs, err := core.ScheduleBatch(gs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace bytes.Buffer
-		if err := obsv.WriteJSONL(&trace, ring); err != nil {
-			t.Fatal(err)
-		}
-		return out, trace.String(), c.Stats()
-	}
-
-	out1, trace1, st := runBatch(1)
-	if st.Misses != uint64(len(uniques)) {
-		t.Fatalf("stats = %v, want %d misses for %d distinct DAGs", st, len(uniques), len(uniques))
-	}
-	if st.Hits != uint64(len(gs)-len(uniques)) {
-		t.Fatalf("stats = %v, want %d hits", st, len(gs)-len(uniques))
-	}
-
-	// Oracle: every item equals a per-item cache call with the uniform
-	// batch seed (which in turn is byte-identical to uncached ScheduleDAG,
-	// per the identity-oracle test).
-	oracle := schedcache.New(0)
-	for i, g := range gs {
-		want, err := oracle.Schedule(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(exportJSON(t, out1[i]), exportJSON(t, want)) {
-			t.Fatalf("batch item %d differs from per-item schedule", i)
-		}
-		if out1[i].Graph != gs[i] {
-			t.Fatalf("batch item %d not bound to its own graph", i)
-		}
-	}
-
-	for _, par := range []int{2, 8} {
-		out, trace, _ := runBatch(par)
-		if trace != trace1 {
-			t.Fatalf("Parallelism=%d changed the cached batch trace stream", par)
-		}
-		for i := range out {
-			if !bytes.Equal(exportJSON(t, out[i]), exportJSON(t, out1[i])) {
-				t.Fatalf("Parallelism=%d changed batch item %d", par, i)
+		for i, s := range out {
+			if errs[i] != nil {
+				t.Fatalf("Parallelism=%d item %d: %v", par, i, errs[i])
 			}
+			if s.Graph != gs[i] {
+				t.Fatalf("Parallelism=%d item %d not bound to its own graph", par, i)
+			}
+			scheds = append(scheds, exportJSON(t, s))
+		}
+		var buf bytes.Buffer
+		if err := obsv.WriteJSONL(&buf, ring); err != nil {
+			t.Fatal(err)
+		}
+		return scheds, buf.String()
+	}
+
+	want, plainTrace1 := runBatch(1, nil)
+	var cachedTrace1 string
+	for _, par := range []int{1, 2, 8} {
+		c := schedcache.New(0)
+		cached, cachedTrace := runBatch(par, c)
+		plain, plainTrace := runBatch(par, nil)
+		for i := range want {
+			if !bytes.Equal(cached[i], want[i]) {
+				t.Fatalf("Parallelism=%d: cached batch item %d differs from the uncached batch", par, i)
+			}
+			if !bytes.Equal(plain[i], want[i]) {
+				t.Fatalf("Parallelism=%d changed uncached batch item %d", par, i)
+			}
+		}
+		if st := c.Stats(); st.Misses != uint64(len(gs)) {
+			t.Fatalf("Parallelism=%d: stats = %v, want one miss per item", par, st)
+		}
+		if cachedTrace1 == "" {
+			cachedTrace1 = cachedTrace
+		}
+		if cachedTrace != cachedTrace1 || plainTrace != plainTrace1 {
+			t.Fatalf("Parallelism=%d changed the batch trace stream", par)
+		}
+	}
+
+	const loops = `s = 0
+i = 32
+while i {
+	s = s + i * i
+	i = i - 1
+}
+j = 32
+while j {
+	s = s + j * j
+	j = j - 1
+}
+k = 32
+while k {
+	s = s + k * k
+	k = k - 1
+}`
+	compileBlocks := func(c core.ScheduleCache) [][]byte {
+		p, err := cfg.Lower(lang.MustParseCF(loops))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Simplify()
+		o := core.DefaultOptions(8)
+		o.Cache = c
+		if err := p.Compile(o, ir.DefaultTimings()); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, b := range p.Blocks {
+			out = append(out, exportJSON(t, b.Sched))
+		}
+		return out
+	}
+	plain := compileBlocks(nil)
+	cached := compileBlocks(schedcache.New(0))
+	for i := range plain {
+		if !bytes.Equal(cached[i], plain[i]) {
+			t.Fatalf("cfg block %d: cached schedule differs from the uncached one", i)
 		}
 	}
 }

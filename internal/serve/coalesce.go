@@ -17,9 +17,9 @@ import (
 )
 
 // groupKey is the coalescing identity: requests schedule together only
-// when every decision-relevant option matches, because one
-// core.ScheduleBatch call carries one Options value and the cached
-// batch path schedules every item with Options.Seed itself.
+// when every decision-relevant option matches, because a flush schedules
+// every unique source with one Options value (the group's seed included,
+// exactly as a single-file bmsched run would).
 type groupKey struct {
 	procs     int
 	machine   core.MachineKind
@@ -63,8 +63,9 @@ type coalescer struct {
 	s *Server
 
 	// ewma tracks the typical batch size (scaled by ewmaScale) across
-	// recent flushes; the adaptive early flush refuses to fire below half
-	// of it, so one fast arrival cannot shatter a forming batch.
+	// recent flushes; the adaptive early flush refuses to fire until a
+	// group holds at least that many requests, so one fast arrival cannot
+	// shatter a forming batch.
 	ewma atomic.Int64
 
 	mu     sync.Mutex
@@ -75,11 +76,21 @@ type coalescer struct {
 const ewmaScale = 16
 
 // observeFlush folds one flush's size into the typical-batch-size
-// estimate (alpha = 1/4).
+// estimate (alpha = 1/4). The step rounds away from zero so the estimate
+// always reaches a steady batch size: a truncated step stops up to
+// 3/ewmaScale short, and above one request that strands every lone
+// request until its window expires.
 func (c *coalescer) observeFlush(size int) {
 	for {
 		old := c.ewma.Load()
-		next := old + (int64(size)*ewmaScale-old)/4
+		d := int64(size)*ewmaScale - old
+		switch {
+		case d > 0:
+			d += 3
+		case d < 0:
+			d -= 3
+		}
+		next := old + d/4
 		if c.ewma.CompareAndSwap(old, next) {
 			return
 		}
@@ -227,11 +238,10 @@ type srcUnit struct {
 	bytes  []byte
 }
 
-// execBatch serves one batch end to end: dedupe sources, compile the
-// unique ones (fanned across the worker pool), schedule them in one
-// cached core.ScheduleBatch call, merge the simulation sweeps per
-// (source, policy) into lane-parallel RunMany calls, and fan the
-// responses back out.
+// execBatch serves one batch end to end: dedupe sources, compile and
+// schedule the unique ones through the shared cache (fanned across the
+// worker pool), merge the simulation sweeps per (source, policy) into
+// lane-parallel RunMany calls, and fan the responses back out.
 func (s *Server) execBatch(reqs []*request, trigger int) {
 	now := time.Now()
 	waits := make([]time.Duration, len(reqs))
@@ -256,44 +266,18 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 	s.trace(obsv.Event{Kind: obsv.KindServeBatch,
 		Arg0: int64(len(reqs)), Arg1: int64(len(units)), Arg2: int64(trigger)})
 
-	// Compile each unique source once.
+	// Compile and schedule each unique source once. Every unit keeps its
+	// own error, so one bad program cannot fail its batchmates; equal
+	// DAGs built from different texts share one computation through the
+	// cache's singleflight.
+	opts := reqs[0].key.options()
 	pool.ForEach(s.cfg.Workers, len(units), func(i int) error {
-		units[i].g, units[i].err = CompileDAG(units[i].src)
+		u := units[i]
+		if u.g, u.err = CompileDAG(u.src); u.err == nil {
+			u.sched, u.schErr = s.cache.Schedule(u.g, opts)
+		}
 		return nil
 	})
-
-	// One ScheduleBatch call for every compilable graph in the batch:
-	// the cached path fingerprints in parallel, schedules each distinct
-	// DAG once, and serves duplicates as hits.
-	opts := s.optsFor(reqs[0].key)
-	var gs []*dag.Graph
-	var gi []int
-	for i, u := range units {
-		if u.err == nil {
-			gs = append(gs, u.g)
-			gi = append(gi, i)
-		}
-	}
-	if len(gs) > 0 {
-		scheds, err := core.ScheduleBatch(gs, opts)
-		if err != nil {
-			// A batch-level error names one poisoned item; retry the
-			// items individually so one bad graph cannot fail its
-			// batchmates.
-			for k, g := range gs {
-				sc, serr := s.cache.Schedule(g, opts)
-				if serr != nil {
-					units[gi[k]].schErr = serr
-				} else {
-					units[gi[k]].sched = sc
-				}
-			}
-		} else {
-			for k := range gs {
-				units[gi[k]].sched = scheds[k]
-			}
-		}
-	}
 
 	// Render the schedule-endpoint body (bmsched -json byte-identical)
 	// once per unit that needs it.

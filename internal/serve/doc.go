@@ -16,14 +16,14 @@
 //     never idles the CPU; the window only bounds the wait at low
 //     rates).
 //
-// A flush dedupes byte-identical request sources, compiles each unique
-// source once, schedules the unique DAGs in a single core.ScheduleBatch
-// call through the shared content-addressed schedule cache
-// (fingerprint-level dedupe and cross-request memoization), merges the
-// simulation sweeps of every request that shares a plan and timing
-// policy into one lane-parallel Plan.RunMany call, and fans the
-// per-request responses back out — duplicate requests share one
-// response byte slice.
+// A flush dedupes byte-identical request sources, then compiles and
+// schedules each unique source once through the shared content-addressed
+// schedule cache (cross-request memoization; equal DAGs built from
+// different texts share one computation through its singleflight), with
+// every unit keeping its own error. It merges the simulation sweeps of
+// every request that shares a plan and timing policy into one
+// lane-parallel Plan.RunMany call, and fans the per-request responses
+// back out — duplicate requests share one response byte slice.
 //
 // Responses are byte-identical to the CLI tools for the same inputs:
 // /v1/schedule returns exactly what `bmsched -json` prints, and

@@ -362,16 +362,13 @@ func orDefault(v, def string) string {
 	return v
 }
 
-// optsFor expands a group key into full scheduling options: the key
-// fields over the paper defaults, batched across the configured worker
-// bound, through the shared cache.
-func (s *Server) optsFor(k groupKey) core.Options {
+// options expands a group key into full scheduling options: the key
+// fields over the paper defaults.
+func (k groupKey) options() core.Options {
 	opts := core.DefaultOptions(k.procs)
 	opts.Machine = k.machine
 	opts.Insertion = k.insertion
 	opts.Seed = k.seed
-	opts.Parallelism = s.cfg.Workers
-	opts.Cache = s.cache
 	return opts
 }
 
