@@ -8,7 +8,7 @@ BENCH ?= BenchmarkSchedule|BenchmarkSimulateSweep|BenchmarkSimulateLanes|Benchma
 COUNT ?= 10
 BENCHMEM ?= -benchmem
 
-.PHONY: build test race vet fmt-check bench bench-check bench-lanes bench-serve benchcmp check docs-check fuzz trace
+.PHONY: build test race vet fmt-check bench bench-check benchcmp check docs-check fuzz trace
 
 build:
 	$(GO) build ./...
@@ -36,23 +36,6 @@ bench:
 bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-
-# Simulation throughput of the one simulator kernel at one lane (W
-# Plan.Run calls, the scalar-W rows) and at 8/32/128 lanes (RunMany):
-# 5 repetitions of BenchmarkSimulateLanes; take medians of the ns/seed
-# custom metric. BENCH_lanes.json's scalar rows predate the single
-# kernel and measured a separate scalar simulator.
-bench-lanes:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulateLanes' $(BENCHMEM) -count 5 .
-
-# Coalesced vs batch-size-1 serving throughput (BENCH_serve.json):
-# 5 interleaved repetitions of each mode against an in-process bmserve
-# on the duplicate-heavy default workload (32 closed-loop clients over
-# 4 distinct programs); medians of the per-rep RPS and latency
-# percentiles are reported. SERVE_REPS=1 gives a quick smoke run.
-SERVE_REPS ?= 5
-bench-serve:
-	$(GO) run ./cmd/bmserve -bench -reps $(SERVE_REPS) -out BENCH_serve.json
 
 # Compare tier-1 benchmarks between a baseline ref (BASE, default HEAD~1)
 # and the working tree. The baseline is checked out into a throwaway git

@@ -10,15 +10,15 @@
 //
 //	bmserve [-addr localhost:8080] [-window 2ms] [-maxbatch 64]
 //	        [-maxinflight 1024] [-timeout 10s] [-maxbody N]
-//	        [-cachesize N] [-j N] [-trace out.json]
-//	bmserve -loadgen [-url http://host:port] [-c 32] [-n 2048] ...
-//	bmserve -bench [-reps 5] [-out BENCH_serve.json] ...
+//	        [-cachesize N] [-j N] [-trace out.json] [-tracecap N]
 //
-// -window 0 disables coalescing (every request is its own batch), the
-// baseline the -bench mode compares against. The daemon drains
-// gracefully on SIGTERM/SIGINT: admission stops, parked requests finish
-// their batches, then the listener closes. /metrics, /debug/vars and
-// /debug/pprof are served on the same listener; see OBSERVABILITY.md.
+// -window must be positive; -maxbatch 1 serves every request as its own
+// batch. The daemon drains gracefully on SIGTERM/SIGINT: admission
+// stops, parked requests finish their batches, then the listener closes.
+// /metrics, /debug/vars and /debug/pprof are served on the same
+// listener; see OBSERVABILITY.md. Load tests and throughput numbers come
+// from the repository benchmark's open-loop serve-dup and serve-unique
+// workloads (bench/README.md).
 package main
 
 import (

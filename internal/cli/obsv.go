@@ -176,7 +176,7 @@ func collectServe(w *obsv.PromWriter) {
 	w.Counter("barriermimd_serve_timeout_total", "Requests that hit their deadline before their batch completed (504).", "", st.TimedOut)
 	w.Counter("barriermimd_serve_error_total", "Requests failed 5xx.", "", st.Failed)
 	w.Counter("barriermimd_serve_batches_total", "Coalescer flushes.", "", st.Batches)
-	w.Counter("barriermimd_serve_coalesced_total", "Requests that went through a coalescing window.", "", st.Coalesced)
+	w.Counter("barriermimd_serve_coalesced_total", "Requests that reached the coalescer.", "", st.Coalesced)
 	w.Counter("barriermimd_serve_shared_responses_total", "Requests served from a batchmate's response bytes (dedupe).", "", st.SharedResponses)
 	w.Counter("barriermimd_serve_sim_batches_total", "Merged lane-parallel RunMany calls issued by flushes.", "", st.SimBatches)
 	w.Counter("barriermimd_serve_sim_seeds_total", "Simulation lanes executed through merged RunMany calls.", "", st.SimSeeds)

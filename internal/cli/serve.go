@@ -2,7 +2,6 @@ package cli
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -17,13 +16,12 @@ import (
 
 // Serve implements the bmserve command: a scheduling-and-simulation
 // HTTP daemon whose hot path coalesces concurrent requests into batch
-// engine calls, plus a built-in load generator and the coalesced-vs-
-// batch-size-1 benchmark behind BENCH_serve.json.
+// engine calls.
 func Serve(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bmserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:8080", "listen address; serves the /v1 API plus /metrics, /debug/vars, /debug/pprof")
-	window := fs.Duration("window", serve.DefaultWindow, "coalescing window: the oldest queued request flushes at most this long after arriving; 0 disables coalescing (batch-size-1 serving)")
+	window := fs.Duration("window", serve.DefaultWindow, "coalescing window: the oldest queued request flushes at most this long after arriving (> 0; -maxbatch 1 serves every request as its own batch)")
 	maxBatch := fs.Int("maxbatch", serve.DefaultMaxBatch, "flush a coalescing group early at this many requests")
 	maxInflight := fs.Int("maxinflight", serve.DefaultMaxInflight, "admission bound: reject requests with 429 beyond this many in flight")
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "default per-request deadline (overridable per request with deadline_ms)")
@@ -32,33 +30,18 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("j", 0, "parse/schedule fan-out per coalesced flush (0 = GOMAXPROCS)")
 	trace := fs.String("trace", "", "write the structured trace to this file on shutdown (.jsonl = JSON Lines, otherwise Chrome trace_event JSON)")
 	traceCap := fs.Int("tracecap", obsv.DefaultRingCapacity, "trace ring capacity in events")
-
-	loadgen := fs.Bool("loadgen", false, "run one closed-loop load measurement instead of serving; prints a JSON result")
-	bench := fs.Bool("bench", false, "run the coalesced-vs-batch-size-1 benchmark instead of serving (see -reps, -out)")
-	url := fs.String("url", "", "with -loadgen: drive a running server at this base URL instead of an in-process one")
-	concurrency := fs.Int("c", 32, "with -loadgen/-bench: closed-loop client count")
-	requests := fs.Int("n", 2048, "with -loadgen/-bench: total requests per measurement")
-	programs := fs.Int("programs", 4, "with -loadgen/-bench: distinct synthetic programs cycled through")
-	stmts := fs.Int("stmts", 60, "with -loadgen/-bench: synthetic program statements")
-	vars := fs.Int("vars", 10, "with -loadgen/-bench: synthetic program variables")
-	procs := fs.Int("procs", 8, "with -loadgen/-bench: scheduled machine size")
-	runs := fs.Int("runs", 8, "with -loadgen/-bench: per-request simulation sweep width")
-	endpoint := fs.String("endpoint", "simulate", "with -loadgen/-bench: schedule or simulate")
-	seed := fs.Int64("seed", 0, "with -loadgen/-bench: workload and scheduler seed")
-	reps := fs.Int("reps", 5, "with -bench: repetitions per serving mode; medians are reported")
-	out := fs.String("out", "", "with -bench: also write the result JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if err := nonNegative(
 		intFlag{"j", *workers}, intFlag{"maxbatch", *maxBatch},
 		intFlag{"maxinflight", *maxInflight}, intFlag{"cachesize", *cacheSize},
-		intFlag{"c", *concurrency}, intFlag{"n", *requests},
-		intFlag{"programs", *programs}, intFlag{"stmts", *stmts},
-		intFlag{"vars", *vars}, intFlag{"procs", *procs},
-		intFlag{"runs", *runs}, intFlag{"reps", *reps},
 	); err != nil {
 		return fail(stderr, "bmserve", err)
+	}
+	if *window <= 0 {
+		return fail(stderr, "bmserve", fmt.Errorf(
+			"-window = %v, need > 0 (for batch-size-1 serving use -maxbatch 1)", *window))
 	}
 
 	cfg := serve.Config{
@@ -69,38 +52,6 @@ func Serve(args []string, stdout, stderr io.Writer) int {
 		Timeout:     *timeout,
 		CacheSize:   *cacheSize,
 		Workers:     *workers,
-	}
-	if *window == 0 {
-		// The CLI reads "-window 0" as coalescing off; Config uses a
-		// negative window for that (0 means "use the default" there).
-		cfg.Window = -1
-	}
-
-	load := serve.LoadConfig{
-		BaseURL:     *url,
-		Endpoint:    *endpoint,
-		Concurrency: *concurrency,
-		Requests:    *requests,
-		Programs:    *programs,
-		Stmts:       *stmts,
-		Vars:        *vars,
-		Procs:       *procs,
-		Runs:        *runs,
-		Seed:        *seed,
-		Server:      cfg,
-	}
-
-	switch {
-	case *bench:
-		return runBench(load, *reps, *window, *maxBatch, *out, stdout, stderr)
-	case *loadgen:
-		res, err := serve.RunLoad(load)
-		if err != nil {
-			return fail(stderr, "bmserve", err)
-		}
-		b, _ := json.MarshalIndent(res, "", "  ")
-		fmt.Fprintln(stdout, string(b))
-		return 0
 	}
 	return runServe(cfg, *addr, *trace, *traceCap, stdout, stderr)
 }
@@ -121,15 +72,8 @@ func runServe(cfg serve.Config, addr, trace string, traceCap int, stdout, stderr
 	if err != nil {
 		return fail(stderr, "bmserve", err)
 	}
-	window := "off"
-	if cfg.Window >= 0 {
-		window = cfg.Window.String()
-		if cfg.Window == 0 {
-			window = serve.DefaultWindow.String()
-		}
-	}
-	fmt.Fprintf(stderr, "bmserve: serving http://%s/v1/{schedule,simulate,stats} (coalescing %s, maxbatch %d)\n",
-		srv.Addr(), window, cfg.MaxBatch)
+	fmt.Fprintf(stderr, "bmserve: serving http://%s/v1/{schedule,simulate,stats} (coalescing %v, maxbatch %d)\n",
+		srv.Addr(), cfg.Window, cfg.MaxBatch)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -152,29 +96,5 @@ func runServe(cfg serve.Config, addr, trace string, traceCap int, stdout, stderr
 		fmt.Fprintf(stderr, "bmserve: %d trace events written to %s (%d dropped)\n",
 			ring.Len(), trace, ring.Dropped())
 	}
-	return 0
-}
-
-// runBench measures coalesced vs batch-size-1 serving and reports the
-// medians, optionally writing the BENCH_serve.json payload.
-func runBench(load serve.LoadConfig, reps int, window time.Duration, maxBatch int, out string, stdout, stderr io.Writer) int {
-	res, err := serve.RunBench(load, reps, window, maxBatch, stderr)
-	if err != nil {
-		return fail(stderr, "bmserve", err)
-	}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return fail(stderr, "bmserve", err)
-	}
-	b = append(b, '\n')
-	fmt.Fprintf(stdout, "%s", b)
-	if out != "" {
-		if err := os.WriteFile(out, b, 0o644); err != nil {
-			return fail(stderr, "bmserve", err)
-		}
-		fmt.Fprintf(stderr, "bmserve: wrote %s\n", out)
-	}
-	fmt.Fprintf(stderr, "bmserve: coalesced %.0f rps vs batch1 %.0f rps — %.2fx\n",
-		res.Coalesced.RPSMedian, res.Batch1.RPSMedian, res.Speedup)
 	return 0
 }

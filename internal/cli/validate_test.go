@@ -35,6 +35,8 @@ func TestNonNegative(t *testing.T) {
 
 	// Every CLI funnels through the same validator: each rejects a
 	// negative count flag with the shared message and exit code 1.
+	// bmserve also rejects a non-positive -window, pointing at -maxbatch 1
+	// for batch-size-1 serving.
 	clis := []struct {
 		name string
 		run  func(args []string, stderr *bytes.Buffer) int
@@ -52,7 +54,13 @@ func TestNonNegative(t *testing.T) {
 		}, []string{"-lanes", "-3"}, "-lanes = -3, need >= 0"},
 		{"bmserve", func(a []string, e *bytes.Buffer) int {
 			return Serve(a, &bytes.Buffer{}, e)
-		}, []string{"-loadgen", "-c", "-4"}, "-c = -4, need >= 0"},
+		}, []string{"-maxbatch", "-4"}, "-maxbatch = -4, need >= 0"},
+		{"bmserve-window0", func(a []string, e *bytes.Buffer) int {
+			return Serve(a, &bytes.Buffer{}, e)
+		}, []string{"-window", "0"}, "-window = 0s, need > 0 (for batch-size-1 serving use -maxbatch 1)"},
+		{"bmserve-windowNegative", func(a []string, e *bytes.Buffer) int {
+			return Serve(a, &bytes.Buffer{}, e)
+		}, []string{"-window", "-1ms"}, "use -maxbatch 1"},
 	}
 	for _, tc := range clis {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,10 +31,3 @@ func StageStats() *metrics.StageClock {
 	defer stageMu.Unlock()
 	return stageAgg.Clone()
 }
-
-// ResetStageStats zeroes the process-wide stage aggregate (tests).
-func ResetStageStats() {
-	stageMu.Lock()
-	defer stageMu.Unlock()
-	stageAgg = metrics.StageClock{}
-}

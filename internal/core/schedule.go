@@ -112,27 +112,6 @@ func (s *Schedule) StaticSpan() (min, max int, err error) {
 
 func (s *Schedule) timingOf(node int) ir.Timing { return s.Graph.Time[node] }
 
-// CloneForMachine returns a shallow copy of the schedule with the machine
-// kind replaced. An SBM schedule is always a valid DBM schedule, so
-// simulators can re-run one under dynamic barrier matching without
-// rescheduling. The copy shares timelines, graphs, and metrics with the
-// original (Schedule contains a lazy index and cannot be copied by
-// assignment); the copy's region index is rebuilt independently.
-func (s *Schedule) CloneForMachine(m MachineKind) *Schedule {
-	c := &Schedule{
-		Graph:        s.Graph,
-		Opts:         s.Opts,
-		Procs:        s.Procs,
-		AssignTo:     s.AssignTo,
-		Participants: s.Participants,
-		Barriers:     s.Barriers,
-		BarrierNode:  s.BarrierNode,
-		Metrics:      s.Metrics,
-	}
-	c.Opts.Machine = m
-	return c
-}
-
 // CloneForGraph returns a shallow copy of the schedule with the graph
 // pointer replaced. The caller must guarantee g is identical to the
 // schedule's graph in index space (dag.Equal): the copy shares timelines,

@@ -80,32 +80,3 @@ func (s *Series) Means() (xs, ys []float64) {
 	}
 	return xs, ys
 }
-
-// Accumulator collects per-benchmark samples for several named measures at
-// one sweep point.
-type Accumulator struct {
-	order []string
-	data  map[string][]float64
-}
-
-// NewAccumulator returns an empty accumulator.
-func NewAccumulator() *Accumulator {
-	return &Accumulator{data: make(map[string][]float64)}
-}
-
-// Observe appends one sample for the named measure.
-func (a *Accumulator) Observe(name string, v float64) {
-	if _, ok := a.data[name]; !ok {
-		a.order = append(a.order, name)
-	}
-	a.data[name] = append(a.data[name], v)
-}
-
-// Names returns the measure names in first-observation order.
-func (a *Accumulator) Names() []string { return a.order }
-
-// Samples returns the raw samples for a measure.
-func (a *Accumulator) Samples(name string) []float64 { return a.data[name] }
-
-// Summary summarizes one measure.
-func (a *Accumulator) Summary(name string) Summary { return Summarize(a.data[name]) }

@@ -79,26 +79,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestAccumulator(t *testing.T) {
-	a := NewAccumulator()
-	a.Observe("barrier", 0.1)
-	a.Observe("serial", 0.7)
-	a.Observe("barrier", 0.3)
-	names := a.Names()
-	if len(names) != 2 || names[0] != "barrier" || names[1] != "serial" {
-		t.Errorf("Names = %v", names)
-	}
-	if got := a.Summary("barrier"); got.N != 2 || math.Abs(got.Mean-0.2) > 1e-12 {
-		t.Errorf("Summary(barrier) = %+v", got)
-	}
-	if len(a.Samples("serial")) != 1 {
-		t.Error("Samples(serial) wrong")
-	}
-	if a.Summary("missing").N != 0 {
-		t.Error("missing measure should be empty")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	if Summarize([]float64{1, 2}).String() == "" {
 		t.Error("empty String")

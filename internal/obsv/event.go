@@ -90,7 +90,7 @@ const (
 	// KindServeBatch: the coalescer flushed one batch. Arg0=requests in
 	// the batch, Arg1=unique (source, options) groups after dedupe,
 	// Arg2=flush trigger (0=window expiry, 1=batch full, 2=adaptive
-	// drain after a completing flush, 3=direct, coalescing off).
+	// drain after a completing flush).
 	KindServeBatch
 	// KindServeRequest: one admitted request completed. Arg0=endpoint
 	// (0=schedule, 1=simulate), Arg1=outcome (0=ok, 1=bad request,

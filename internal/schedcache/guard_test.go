@@ -71,7 +71,7 @@ func TestEqualGuardRejectsPlantedCollision(t *testing.T) {
 			} else {
 				done := make(chan struct{})
 				close(done)
-				sh2.inflight[k2] = &flight{done: done, ent: ent, saved: true}
+				sh2.inflight[k2] = &flight{done: done, ent: ent}
 			}
 
 			s2, err := c.Schedule(g2, opts)

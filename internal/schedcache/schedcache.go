@@ -78,10 +78,8 @@ type entry struct {
 // flight tracks one in-progress computation for singleflight: losers of
 // the insert race block on done and read the winner's result.
 type flight struct {
-	done  chan struct{}
-	ent   *entry
-	err   error
-	saved bool // false when the result was rejected (fp collision) or errored
+	done chan struct{}
+	ent  *entry // nil when the computation errored
 }
 
 // shard is one lock domain: a key-indexed map plus an LRU list whose
@@ -194,7 +192,7 @@ func (c *Cache) Schedule(g *dag.Graph, opts core.Options) (*core.Schedule, error
 				Arg0: int64(key.FP.Hi), Arg1: int64(key.FP.Lo)})
 		}
 		<-fl.done
-		if !fl.saved {
+		if fl.ent == nil {
 			// The winner errored. ScheduleDAG errors depend on the options
 			// and graph together, and our graph is only fingerprint-equal
 			// to the winner's; compute our own answer rather than inherit
@@ -248,13 +246,13 @@ func (c *Cache) reject(key Key, rec obsv.Recorder) {
 
 // store publishes a computed result, resolves the key's flight, and
 // applies LRU eviction. It returns the stored entry and the evicted one,
-// if any.
+// if any. Only the key's flight owner calls store, and the key stays in
+// inflight until store removes it, so no entry for the key is resident.
 func (c *Cache) store(sh *shard, key Key, fl *flight, sched *core.Schedule, err error) (*entry, *entry) {
 	var evicted *entry
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if err != nil {
-		fl.err = err
 		sh.mu.Unlock()
 		close(fl.done)
 		return nil, nil
@@ -264,16 +262,6 @@ func (c *Cache) store(sh *shard, key Key, fl *flight, sched *core.Schedule, err 
 	sched.Opts.Recorder = nil
 	sched.Opts.Cache = nil
 	ent := &entry{key: key, sched: sched}
-	if old, ok := sh.entries[key]; ok {
-		// A rejected-path fresh compute can race a store for the same key;
-		// keep the resident entry (first writer wins) and serve ours only
-		// to this caller.
-		_ = old
-		fl.ent, fl.saved = ent, true
-		sh.mu.Unlock()
-		close(fl.done)
-		return ent, nil
-	}
 	sh.entries[key] = ent
 	ent.elem = sh.lru.PushFront(ent)
 	if sh.lru.Len() > c.shardCap() {
@@ -285,7 +273,7 @@ func (c *Cache) store(sh *shard, key Key, fl *flight, sched *core.Schedule, err 
 		c.evictions.Add(1)
 		global.evictions.Add(1)
 	}
-	fl.ent, fl.saved = ent, true
+	fl.ent = ent
 	sh.mu.Unlock()
 	close(fl.done)
 	return ent, evicted

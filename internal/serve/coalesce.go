@@ -54,7 +54,6 @@ const (
 	triggerWindow   = 0 // the bounded coalescing window expired
 	triggerFull     = 1 // the group reached MaxBatch
 	triggerAdaptive = 2 // a completing flush drained what queued behind it
-	triggerDirect   = 3 // coalescing disabled (Window < 0)
 )
 
 // coalescer groups compatible in-flight requests and flushes them as
@@ -109,19 +108,12 @@ func newCoalescer(s *Server) *coalescer {
 }
 
 // submit runs rq through the coalescer and blocks until its response is
-// ready or its deadline passes; ok is false on deadline expiry. With
-// coalescing disabled the batch is just rq itself and executes on the
-// caller's goroutine — the batch-size-1 baseline adds no hops.
+// ready or its deadline passes; ok is false on deadline expiry. Batches
+// execute off the handler goroutine, so a request whose deadline expires
+// mid-execution still gets its 504 on time (done is buffered, so the
+// flush never blocks on a request that gave up).
 func (c *coalescer) submit(rq *request) (response, bool) {
-	if c.s.cfg.Window < 0 {
-		// Even the direct path executes off the handler goroutine, so a
-		// request whose deadline expires mid-execution still gets its 504
-		// on time (the execution finishes in the background; done is
-		// buffered, so it never blocks).
-		go c.s.execBatch([]*request{rq}, triggerDirect)
-	} else {
-		c.enqueue(rq)
-	}
+	c.enqueue(rq)
 	select {
 	case resp := <-rq.done:
 		return resp, true
@@ -249,9 +241,7 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 		waits[i] = now.Sub(rq.enq)
 	}
 	s.observeBatch(len(reqs), waits)
-	if trigger != triggerDirect {
-		s.co.observeFlush(len(reqs))
-	}
+	s.co.observeFlush(len(reqs))
 
 	// Dedupe by source text. Requests whose bodies are byte-identical
 	// share every downstream stage.

@@ -39,7 +39,5 @@
 // batch-size and coalesce-wait histograms, request latency, and
 // coalescing counters through internal/metrics (exposed by
 // internal/cli's Prometheus registry) plus internal/obsv trace events.
-// Command bmserve wires it to a listener; its -loadgen mode drives
-// closed-loop concurrent clients against the server and reports
-// RPS and latency percentiles (see `make bench-serve`).
+// Command bmserve wires it to a listener.
 package serve

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"barriermimd/internal/core"
@@ -33,16 +34,14 @@ const (
 )
 
 // Config parameterizes a Server. The zero value serves with the
-// defaults above; Window = -1 (any negative value) disables coalescing
-// entirely, making every request its own batch — the batch-size-1
-// baseline the serving benchmark compares against.
+// defaults above.
 type Config struct {
 	// Window is the bounded coalescing wait: the oldest request of a
-	// group flushes at most this long after arriving. 0 selects
-	// DefaultWindow; negative disables coalescing.
+	// group flushes at most this long after arriving
+	// (<= 0 = DefaultWindow).
 	Window time.Duration
 	// MaxBatch flushes a group early when it reaches this many requests
-	// (0 = DefaultMaxBatch).
+	// (0 = DefaultMaxBatch); 1 serves every request as its own batch.
 	MaxBatch int
 	// MaxInflight bounds admitted-but-unanswered requests; beyond it
 	// requests are rejected with 429 (0 = DefaultMaxInflight).
@@ -60,12 +59,13 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Recorder, when non-nil, receives serve-domain trace events
-	// (KindServeBatch, KindServeRequest, KindServeOverload).
+	// (KindServeBatch, KindServeRequest, KindServeOverload). The server
+	// serializes its calls, so it need not be goroutine-safe.
 	Recorder obsv.Recorder
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.Window == 0 {
+	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
 	if cfg.MaxBatch <= 0 {
@@ -93,6 +93,10 @@ type Server struct {
 	cache *schedcache.Cache
 	co    *coalescer
 	c     counters
+
+	// traceMu serializes Recorder calls: handlers and flushes record
+	// concurrently, and a Recorder need not be goroutine-safe.
+	traceMu sync.Mutex
 }
 
 // New returns a server ready to Mount.
@@ -305,9 +309,12 @@ func outcomeOf(status int) int64 {
 }
 
 func (s *Server) trace(ev obsv.Event) {
-	if s.cfg.Recorder != nil {
-		s.cfg.Recorder.Record(ev)
+	if s.cfg.Recorder == nil {
+		return
 	}
+	s.traceMu.Lock()
+	s.cfg.Recorder.Record(ev)
+	s.traceMu.Unlock()
 }
 
 // buildRequest validates and normalizes one decoded request into the

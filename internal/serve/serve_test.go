@@ -109,20 +109,56 @@ func postJSON(t *testing.T, url string, req serve.Request) (int, []byte) {
 	return resp.StatusCode, body.Bytes()
 }
 
-// identityMatrix is the coalescing window x client concurrency grid the
-// oracle tests sweep: window 0 means coalescing off (batch-size-1), the
-// others exercise real coalesced batches.
+// identityMatrix is the server configuration x client concurrency grid
+// the oracle tests sweep: MaxBatch 1 serves every request as its own
+// batch, the 5-ms window exercises real coalesced batches.
 var identityMatrix = []struct {
-	name   string
-	window time.Duration
-	conc   int
+	name string
+	cfg  serve.Config
+	conc int
 }{
-	{"window0/c1", -1, 1},
-	{"window0/c8", -1, 8},
-	{"window0/c32", -1, 32},
-	{"window5ms/c1", 5 * time.Millisecond, 1},
-	{"window5ms/c8", 5 * time.Millisecond, 8},
-	{"window5ms/c32", 5 * time.Millisecond, 32},
+	{"maxbatch1/c1", serve.Config{MaxBatch: 1}, 1},
+	{"maxbatch1/c8", serve.Config{MaxBatch: 1}, 8},
+	{"maxbatch1/c32", serve.Config{MaxBatch: 1}, 32},
+	{"window5ms/c1", serve.Config{Window: 5 * time.Millisecond}, 1},
+	{"window5ms/c8", serve.Config{Window: 5 * time.Millisecond}, 8},
+	{"window5ms/c32", serve.Config{Window: 5 * time.Millisecond}, 32},
+}
+
+// tracedServer starts a server for one identity-matrix row with a trace
+// ring attached, so the row can check its flush sizes afterwards.
+func tracedServer(t *testing.T, cfg serve.Config) (*httptest.Server, *obsv.Ring) {
+	t.Helper()
+	ring := obsv.NewRing(1 << 12)
+	cfg.Recorder = ring
+	ts := httptest.NewServer(serve.New(cfg).Handler())
+	t.Cleanup(ts.Close)
+	return ts, ring
+}
+
+// requireBatchBound checks that no flush recorded in ring held more than
+// maxBatch requests (serve-batch Arg0), and that the ring dropped nothing.
+func requireBatchBound(t *testing.T, ring *obsv.Ring, maxBatch int) {
+	t.Helper()
+	if maxBatch == 0 {
+		maxBatch = serve.DefaultMaxBatch
+	}
+	if d := ring.Dropped(); d != 0 {
+		t.Fatalf("trace ring dropped %d events", d)
+	}
+	batches := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind != obsv.KindServeBatch {
+			continue
+		}
+		batches++
+		if ev.Arg0 < 1 || ev.Arg0 > int64(maxBatch) {
+			t.Errorf("flush of %d requests, want 1..%d", ev.Arg0, maxBatch)
+		}
+	}
+	if batches == 0 {
+		t.Error("no serve-batch events recorded")
+	}
 }
 
 // TestScheduleIdentity pins the tentpole guarantee: /v1/schedule bodies
@@ -138,9 +174,7 @@ func TestScheduleIdentity(t *testing.T) {
 
 	for _, tc := range identityMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			s := serve.New(serve.Config{Window: tc.window})
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+			ts, ring := tracedServer(t, tc.cfg)
 
 			const perWorker = 4
 			errs := make(chan error, tc.conc*perWorker)
@@ -169,6 +203,7 @@ func TestScheduleIdentity(t *testing.T) {
 			for err := range errs {
 				t.Error(err)
 			}
+			requireBatchBound(t, ring, tc.cfg.MaxBatch)
 		})
 	}
 }
@@ -190,9 +225,7 @@ func TestSimulateIdentity(t *testing.T) {
 
 	for _, tc := range identityMatrix {
 		t.Run(tc.name, func(t *testing.T) {
-			s := serve.New(serve.Config{Window: tc.window})
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+			ts, ring := tracedServer(t, tc.cfg)
 
 			const perWorker = 4
 			errs := make(chan error, tc.conc*perWorker)
@@ -234,6 +267,7 @@ func TestSimulateIdentity(t *testing.T) {
 			for err := range errs {
 				t.Error(err)
 			}
+			requireBatchBound(t, ring, tc.cfg.MaxBatch)
 		})
 	}
 }
@@ -241,7 +275,7 @@ func TestSimulateIdentity(t *testing.T) {
 // TestRejections covers the admission-control surface: wrong method,
 // malformed and invalid bodies, and the body-size bound.
 func TestRejections(t *testing.T) {
-	s := serve.New(serve.Config{Window: -1, MaxBody: 256})
+	s := serve.New(serve.Config{MaxBatch: 1, MaxBody: 256})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -315,7 +349,7 @@ func TestOverloadAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(serve.Config{Window: -1, MaxInflight: 1, Timeout: time.Minute})
+	s := serve.New(serve.Config{MaxBatch: 1, MaxInflight: 1, Timeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -458,19 +492,37 @@ func TestStatsAndHealth(t *testing.T) {
 	}
 }
 
-// TestLoadgenSmoke exercises the in-process load generator end to end
-// on a small workload.
-func TestLoadgenSmoke(t *testing.T) {
-	res, err := serve.RunLoad(serve.LoadConfig{
-		Concurrency: 4, Requests: 32, Programs: 2, Stmts: 20, Runs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestTraceRecordsEveryConcurrentRequest: handler and flush goroutines
+// record into one Recorder, which need not be goroutine-safe (a bare
+// Ring is not), so the server must serialize them. Every request leaves
+// exactly one serve-request event; without the serialization, -race
+// reports a data race in Ring.Record.
+func TestTraceRecordsEveryConcurrentRequest(t *testing.T) {
+	srcs, _ := testPrograms(t, 4, 20)
+	ring := obsv.NewRing(1 << 10)
+	ts := httptest.NewServer(serve.New(serve.Config{MaxBatch: 1, Recorder: ring}).Handler())
+	defer ts.Close()
+
+	const n = 16
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := serve.Request{Src: srcs[i%len(srcs)], Procs: 4}
+			if status, body := postJSON(t, ts.URL+"/v1/schedule", req); status != http.StatusOK {
+				t.Errorf("status %d: %s", status, body)
+			}
+		}(i)
 	}
-	if res.Errors != 0 {
-		t.Errorf("loadgen saw %d errors", res.Errors)
+	wg.Wait()
+	requests := 0
+	for _, ev := range ring.Events() {
+		if ev.Kind == obsv.KindServeRequest {
+			requests++
+		}
 	}
-	if res.RPS <= 0 || res.P99MS <= 0 {
-		t.Errorf("degenerate measurement: %+v", res)
+	if requests != n || ring.Dropped() != 0 {
+		t.Errorf("%d serve-request events (%d dropped) for %d requests, want %d", requests, ring.Dropped(), n, n)
 	}
 }

@@ -43,7 +43,7 @@ type Stats struct {
 	// outcomes (Overloaded and TooLarge are rejections, not admissions).
 	Admitted, Ok, BadRequest, TooLarge, Overloaded, TimedOut, Failed uint64
 	// Batches counts coalescer flushes; Coalesced counts requests that
-	// went through a window>0 flush; SharedResponses counts requests
+	// reached the coalescer; SharedResponses counts requests
 	// served from a duplicate's response bytes; SimSeeds and SimBatches
 	// count merged simulation lanes and RunMany calls.
 	Batches, Coalesced, SharedResponses, SimSeeds, SimBatches uint64
