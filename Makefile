@@ -4,7 +4,7 @@ GO ?= go
 # count, and memory reporting (set BENCHMEM= to drop allocs/op columns,
 # BENCH=. to run every benchmark).
 BASE ?= HEAD~1
-BENCH ?= BenchmarkSchedule|BenchmarkSimulateSweep|BenchmarkSimulateLanes|BenchmarkCompilePlan|BenchmarkParse|BenchmarkExportJSON
+BENCH ?= BenchmarkSchedule|BenchmarkSimulateSweep|BenchmarkSimulateLanes|BenchmarkCompilePlan|BenchmarkParse|BenchmarkPipelineCompile|BenchmarkExportJSON
 COUNT ?= 10
 BENCHMEM ?= -benchmem
 
@@ -60,14 +60,17 @@ benchcmp:
 	fi
 
 # Fuzz smoke: each language fuzz target for 10 s from its seed corpus in
-# internal/lang/testdata/fuzz/, then the simulator's duration draw
-# against math/rand (FuzzDirectDraws). The patterns are anchored because
-# -fuzz must match exactly one target and FuzzParse is a prefix of
-# FuzzParseCF.
+# internal/lang/testdata/fuzz/, then the optimizer and the DAG builder
+# against their map-based oracles (FuzzOptimize, FuzzBuild), then the
+# simulator's duration draw against math/rand (FuzzDirectDraws). The
+# patterns are anchored because -fuzz must match exactly one target and
+# FuzzParse is a prefix of FuzzParseCF.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzParseCF$$' -fuzztime 10s ./internal/lang
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimize$$' -fuzztime 10s ./internal/opt
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime 10s ./internal/dag
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectDraws$$' -fuzztime 10s ./internal/machine
 
 # Documentation gate: godoc examples compile and pass, and every

@@ -102,25 +102,28 @@ func BenchmarkOptimalInsertion(b *testing.B) { runExp(b, "optimal") }
 
 // --- hot-path micro-benchmarks ---
 
-// BenchmarkPipelineCompile measures source-to-optimized-DAG lowering.
+// BenchmarkPipelineCompile measures source-to-optimized-DAG lowering
+// (Compile, Optimize, Build) on synthetic blocks of 20, 60 and 200
+// statements (10 variables).
 func BenchmarkPipelineCompile(b *testing.B) {
-	prog, err := synth.Generate(synth.Config{Statements: 60, Variables: 10}, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naive, err := lang.Compile(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		optb, _, err := opt.Optimize(naive)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dag.Build(optb, ir.DefaultTimings()); err != nil {
-			b.Fatal(err)
-		}
+	for _, stmts := range []int{20, 60, 200} {
+		prog := synth.MustGenerate(synth.Config{Statements: stmts, Variables: 10}, 1)
+		b.Run(fmt.Sprintf("stmts=%d", stmts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				naive, err := lang.Compile(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				optb, _, err := opt.Optimize(naive)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dag.Build(optb, ir.DefaultTimings()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -72,8 +72,7 @@ func runServe(cfg serve.Config, addr, trace string, traceCap int, stdout, stderr
 	if err != nil {
 		return fail(stderr, "bmserve", err)
 	}
-	fmt.Fprintf(stderr, "bmserve: serving http://%s/v1/{schedule,simulate,stats} (coalescing %v, maxbatch %d)\n",
-		srv.Addr(), cfg.Window, cfg.MaxBatch)
+	fmt.Fprint(stderr, serveBanner(srv.Addr(), api.Config()))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -97,4 +96,11 @@ func runServe(cfg serve.Config, addr, trace string, traceCap int, stdout, stderr
 			ring.Len(), trace, ring.Dropped())
 	}
 	return 0
+}
+
+// serveBanner is the line bmserve prints once it listens. It takes the
+// server's own Config, so a flag left at 0 shows the default it selects.
+func serveBanner(addr string, cfg serve.Config) string {
+	return fmt.Sprintf("bmserve: serving http://%s/v1/{schedule,simulate,stats} (coalescing %v, maxbatch %d)\n",
+		addr, cfg.Window, cfg.MaxBatch)
 }

@@ -2,8 +2,11 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"barriermimd/internal/serve"
 )
 
 // TestNonNegative is the table-driven contract of the shared flag
@@ -72,5 +75,18 @@ func TestNonNegative(t *testing.T) {
 				t.Fatalf("%s stderr %q, want it to contain %q", tc.name, stderr.String(), tc.want)
 			}
 		})
+	}
+}
+
+// TestServeBannerShowsServedConfig checks that bmserve announces the
+// settings the server applies: -maxbatch 0 selects the default, 64, and
+// the banner says so.
+func TestServeBannerShowsServedConfig(t *testing.T) {
+	banner := serveBanner("127.0.0.1:8080", serve.New(serve.Config{MaxBatch: 0}).Config())
+	if want := fmt.Sprintf("(coalescing %v, maxbatch %d)", serve.DefaultWindow, serve.DefaultMaxBatch); !strings.Contains(banner, want) {
+		t.Errorf("banner %q does not contain %q", banner, want)
+	}
+	if !strings.Contains(banner, "maxbatch 64") {
+		t.Errorf("banner %q does not announce maxbatch 64", banner)
 	}
 }

@@ -1,32 +1,31 @@
 package dag
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
-// TestAdjacencyMirrorsSuccs checks that the sorted adjacency behind
-// EdgeKind holds exactly the successor sets, and that every listed edge
-// answers EdgeKind with an existing kind.
+// TestAdjacencyMirrorsSuccs checks the two facts EdgeKind's binary
+// search rests on: every successor list is strictly ascending, and
+// EdgeKind finds exactly the edges Edges lists, each with the kind it
+// reports for that list position.
 func TestAdjacencyMirrorsSuccs(t *testing.T) {
 	g := fig1Graph(t)
-	for u := range g.succs {
-		want := append([]int(nil), g.Succs(u)...)
-		sort.Ints(want)
-		got := g.adjTo[u]
-		if len(got) != len(want) {
-			t.Fatalf("node %d: adjacency %v vs sorted succs %v", u, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("node %d: adjacency %v vs sorted succs %v", u, got, want)
+	var fromSuccs []Edge
+	for u := range g.Time {
+		ss := g.Succs(u)
+		for k, v := range ss {
+			if k > 0 && ss[k-1] >= v {
+				t.Fatalf("node %d: successors %v not strictly ascending", u, ss)
 			}
-		}
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("node %d: adjacency %v not sorted", u, got)
+			fromSuccs = append(fromSuccs, Edge{u, v})
 		}
 	}
-	for _, e := range g.Edges() {
+	edges := g.Edges()
+	if len(edges) != len(fromSuccs) {
+		t.Fatalf("Edges has %d entries, successor lists %d", len(edges), len(fromSuccs))
+	}
+	for k, e := range edges {
+		if fromSuccs[k] != e {
+			t.Fatalf("edge %d is %v, successor lists give %v", k, e, fromSuccs[k])
+		}
 		if _, ok := g.EdgeKind(e.From, e.To); !ok {
 			t.Fatalf("edge %v listed but EdgeKind misses it", e)
 		}
@@ -49,8 +48,8 @@ func TestEdgeKindNegativeLookups(t *testing.T) {
 	for _, e := range g.Edges() {
 		present[e] = true
 	}
-	for u := 0; u < len(g.succs); u++ {
-		for v := 0; v < len(g.succs); v++ {
+	for u := range g.Time {
+		for v := range g.Time {
 			_, ok := g.EdgeKind(u, v)
 			if ok != present[Edge{u, v}] {
 				t.Fatalf("EdgeKind(%d,%d) = %v, edge list says %v", u, v, ok, present[Edge{u, v}])
@@ -92,7 +91,7 @@ func TestEdgesSortedAndReal(t *testing.T) {
 // contract.
 func TestRealPredsMatchesPreds(t *testing.T) {
 	g := fig1Graph(t)
-	for v := 0; v < len(g.preds); v++ {
+	for v := range g.Time {
 		var want []int
 		for _, u := range g.Preds(v) {
 			if !g.IsDummy(u) {

@@ -42,18 +42,19 @@ type Graph struct {
 	// [0,0]).
 	Time []ir.Timing
 
-	// succs/preds keep build insertion order (the scheduler's iteration
-	// order, part of the deterministic-output contract); adjTo/adjKind are
-	// the same successors re-sorted per node with parallel edge kinds, so
-	// EdgeKind is a binary search instead of a map lookup. edges,
-	// realEdges, and realPreds are materialized once at Build time.
-	succs     [][]int
-	preds     [][]int
-	adjTo     [][]int
-	adjKind   [][]Kind
-	edges     []Edge
-	realEdges []Edge
-	realPreds [][]int
+	// Adjacency is compressed sparse rows over all N+2 nodes. Node u's
+	// successors are succ[succOff[u]:succOff[u+1]], ascending, with the
+	// edge kinds at the same positions of kinds (EdgeKind is a binary
+	// search). Its predecessors are pred[predOff[u]:predOff[u+1]] in
+	// build insertion order, the scheduler's iteration order and part
+	// of the deterministic-output contract. edges lists every edge in
+	// successor order, which is (From, To) order; realEdges is its
+	// sublist between real nodes.
+	succ, pred       []int
+	succOff, predOff []int
+	kinds            []Kind
+	edges            []Edge
+	realEdges        []Edge
 
 	// The graph is immutable after Build, so derived orders and
 	// per-node aggregates are computed once and shared between all
@@ -85,126 +86,174 @@ func Build(b *ir.Block, tm ir.TimingModel) (*Graph, error) {
 	if err := tm.Validate(); err != nil {
 		return nil, err
 	}
-	n := b.Len()
+	ts := b.Tuples
+	n := len(ts)
+	nodes := n + 2
 	g := &Graph{
 		Block: b,
 		N:     n,
 		Entry: n,
 		Exit:  n + 1,
-		Time:  make([]ir.Timing, n+2),
-		succs: make([][]int, n+2),
-		preds: make([][]int, n+2),
+		Time:  make([]ir.Timing, nodes),
 	}
-	for i, t := range b.Tuples {
-		g.Time[i] = tm.Of(t.Op)
+	for i := range ts {
+		g.Time[i] = tm.Of(ts[i].Op)
 	}
 
-	kind := make(map[Edge]Kind)
-	addEdge := func(from, to int, k Kind) {
-		e := Edge{from, to}
-		if _, dup := kind[e]; dup || from == to {
+	// Every edge added while visiting tuple i ends at i. So a per-node
+	// stamp (stamp[from] == i+1) is the whole dedup, every successor list
+	// comes out ascending, and the entry/exit pass cannot add a
+	// duplicate. Positions in scratch and memState are stored + 1, so
+	// zero means none.
+	scratch := make([]int32, 2*n+nodes)
+	ids := scratch[:n]           // variable id of each Load and Store
+	nextLoad := scratch[n : 2*n] // next load of the same variable
+	stamp := scratch[2*n:]       // last consumer each node has an edge to
+	vars := make([]memState, ir.VarIDs(ts, ids))
+	// Degrees are counted at off[u+2]; see freeze.
+	off := make([]int, 2*(nodes+2))
+	succOff, predOff := off[:nodes+2], off[nodes+2:]
+	recs := make([]edgeRec, 0, 4*n+1) // at most two real and two dummy edges per tuple
+	add := func(from, to int, k Kind) {
+		if stamp[from] == int32(to+1) {
 			return
 		}
-		kind[e] = k
-		g.succs[from] = append(g.succs[from], to)
-		g.preds[to] = append(g.preds[to], from)
+		stamp[from] = int32(to + 1)
+		recs = append(recs, edgeRec{int32(from), int32(to), k})
+		succOff[from+2]++
+		predOff[to+2]++
 	}
 
-	lastStore := make(map[string]int)    // variable -> node of latest store
-	loadsSince := make(map[string][]int) // loads of v since lastStore[v]
-	for i, t := range b.Tuples {
-		for _, a := range t.Operands() {
-			addEdge(a, i, FlowEdge)
+	for i := range ts {
+		t := &ts[i]
+		for k := 0; k < t.NumArgs(); k++ {
+			if !t.IsImm[k] && t.Args[k] != ir.NoArg {
+				add(t.Args[k], i, FlowEdge)
+			}
 		}
 		switch t.Op {
 		case ir.Load:
-			if s, ok := lastStore[t.Var]; ok {
-				addEdge(s, i, MemoryEdge)
+			v := &vars[ids[i]]
+			if v.lastStore != 0 {
+				add(int(v.lastStore-1), i, MemoryEdge)
 			}
-			loadsSince[t.Var] = append(loadsSince[t.Var], i)
+			if v.lastLoad == 0 {
+				v.firstLoad = int32(i + 1)
+			} else {
+				nextLoad[v.lastLoad-1] = int32(i + 1)
+			}
+			v.lastLoad = int32(i + 1)
 		case ir.Store:
-			for _, l := range loadsSince[t.Var] {
-				addEdge(l, i, MemoryEdge)
+			v := &vars[ids[i]]
+			for l := v.firstLoad; l != 0; l = nextLoad[l-1] {
+				add(int(l-1), i, MemoryEdge)
 			}
-			loadsSince[t.Var] = nil
-			if s, ok := lastStore[t.Var]; ok {
-				addEdge(s, i, MemoryEdge)
+			v.firstLoad, v.lastLoad = 0, 0
+			if v.lastStore != 0 {
+				add(int(v.lastStore-1), i, MemoryEdge)
 			}
-			lastStore[t.Var] = i
+			v.lastStore = int32(i + 1)
 		}
 	}
 
+	nreal := len(recs)
 	for i := 0; i < n; i++ {
-		if len(g.preds[i]) == 0 {
-			addEdge(g.Entry, i, FlowEdge)
+		if predOff[i+2] == 0 {
+			add(g.Entry, i, FlowEdge)
 		}
-		if len(g.succs[i]) == 0 {
-			addEdge(i, g.Exit, FlowEdge)
+		if succOff[i+2] == 0 {
+			add(i, g.Exit, FlowEdge)
 		}
 	}
 	if n == 0 {
-		addEdge(g.Entry, g.Exit, FlowEdge)
+		add(g.Entry, g.Exit, FlowEdge)
 	}
-	g.finalize(kind)
+	g.freeze(recs, nreal, succOff, predOff)
 	return g, nil
 }
 
-// finalize freezes the edge set into its query-friendly forms: per-node
-// sorted adjacency with parallel kinds (EdgeKind binary search), the
-// global sorted edge list, the real-edge sublist, and per-node non-dummy
-// predecessors (in Preds order).
-func (g *Graph) finalize(kind map[Edge]Kind) {
-	total := len(kind)
-	g.adjTo = make([][]int, len(g.succs))
-	g.adjKind = make([][]Kind, len(g.succs))
-	g.edges = make([]Edge, 0, total)
-	g.realPreds = make([][]int, len(g.preds))
-	for u, ss := range g.succs {
-		if len(ss) == 0 {
-			continue
-		}
-		to := append([]int(nil), ss...)
-		sort.Ints(to)
-		ks := make([]Kind, len(to))
-		for k, v := range to {
-			ks[k] = kind[Edge{u, v}]
-			e := Edge{u, v}
-			g.edges = append(g.edges, e)
-			if !g.IsDummy(u) && !g.IsDummy(v) {
-				g.realEdges = append(g.realEdges, e)
-			}
-		}
-		g.adjTo[u] = to
-		g.adjKind[u] = ks
-	}
-	for v, ps := range g.preds {
-		for _, u := range ps {
-			if !g.IsDummy(u) {
-				g.realPreds[v] = append(g.realPreds[v], u)
-			}
-		}
-	}
+// memState is one variable's memory-ordering state during Build: its
+// latest store and the chain of loads since (positions + 1).
+type memState struct {
+	lastStore, firstLoad, lastLoad int32
 }
 
-// Succs returns the successor node indices of i. The slice is shared; do
-// not modify.
-func (g *Graph) Succs(i int) []int { return g.succs[i] }
+// edgeRec is one edge as Build adds it.
+type edgeRec struct {
+	from, to int32
+	kind     Kind
+}
 
-// Preds returns the predecessor node indices of i. The slice is shared; do
-// not modify.
-func (g *Graph) Preds(i int) []int { return g.preds[i] }
+// freeze counting-sorts the edges, given in insertion order, into the
+// CSR arrays: by From for successors and kinds (stable, so each list
+// keeps its ascending insertion order), and by To for predecessors
+// (stable, so each list keeps insertion order). The degree of u arrives
+// at succOff[u+2] and predOff[u+2]; prefix sums turn off[u+1] into u's
+// start, and the scatter advances it to u's end, which is u+1's start.
+// nreal is the number of leading recs between real nodes.
+func (g *Graph) freeze(recs []edgeRec, nreal int, succOff, predOff []int) {
+	for u := 2; u < len(succOff); u++ {
+		succOff[u] += succOff[u-1]
+		predOff[u] += predOff[u-1]
+	}
+	e := len(recs)
+	adj := make([]int, 2*e)
+	g.succ, g.pred = adj[:e:e], adj[e:]
+	g.kinds = make([]Kind, e)
+	edges := make([]Edge, e+nreal)
+	g.edges, g.realEdges = edges[:e:e], edges[e:e]
+	for _, r := range recs {
+		s := succOff[r.from+1]
+		succOff[r.from+1]++
+		g.succ[s] = int(r.to)
+		g.kinds[s] = r.kind
+		g.edges[s] = Edge{int(r.from), int(r.to)}
+		p := predOff[r.to+1]
+		predOff[r.to+1]++
+		g.pred[p] = int(r.from)
+	}
+	for _, ed := range g.edges {
+		if ed.From < g.N && ed.To < g.N {
+			g.realEdges = append(g.realEdges, ed)
+		}
+	}
+	g.succOff, g.predOff = succOff[:len(succOff)-1], predOff[:len(predOff)-1]
+}
+
+// Succs returns the successor node indices of i, ascending. The slice is
+// shared; do not modify. It is capped at its length, so an append copies.
+func (g *Graph) Succs(i int) []int {
+	lo, hi := g.succOff[i], g.succOff[i+1]
+	return g.succ[lo:hi:hi]
+}
+
+// Preds returns the predecessor node indices of i, in build order. The
+// slice is shared; do not modify. It is capped at its length, so an
+// append copies.
+func (g *Graph) Preds(i int) []int {
+	lo, hi := g.predOff[i], g.predOff[i+1]
+	return g.pred[lo:hi:hi]
+}
 
 // RealPreds returns the non-dummy predecessors of i, in the same order as
 // Preds. The slice is shared; do not modify.
-func (g *Graph) RealPreds(i int) []int { return g.realPreds[i] }
+func (g *Graph) RealPreds(i int) []int {
+	// Build links the entry only to nodes with no other predecessor, so
+	// a node's predecessors are all real or the entry alone.
+	p := g.Preds(i)
+	if len(p) == 1 && p[0] == g.Entry {
+		return p[:0]
+	}
+	return p
+}
 
 // EdgeKind returns the kind of edge (from, to) and whether it exists, by
-// binary search over from's sorted adjacency.
+// binary search over from's ascending successors.
 func (g *Graph) EdgeKind(from, to int) (Kind, bool) {
-	adj := g.adjTo[from]
-	k := sort.SearchInts(adj, to)
-	if k < len(adj) && adj[k] == to {
-		return g.adjKind[from][k], true
+	lo, hi := g.succOff[from], g.succOff[from+1]
+	k := lo + sort.SearchInts(g.succ[lo:hi], to)
+	if k < hi && g.succ[k] == to {
+		return g.kinds[k], true
 	}
 	return 0, false
 }
@@ -237,10 +286,10 @@ func (g *Graph) Topo() ([]int, error) {
 }
 
 func (g *Graph) computeTopo() ([]int, error) {
-	n := len(g.succs)
+	n := len(g.Time)
 	indeg := make([]int, n)
-	for _, e := range g.Edges() {
-		indeg[e.To]++
+	for i := range indeg {
+		indeg[i] = len(g.Preds(i))
 	}
 	// Min-heap behaviour via sorted ready list is O(n^2) worst case but
 	// blocks are small (hundreds of nodes); determinism matters more.
@@ -256,7 +305,7 @@ func (g *Graph) computeTopo() ([]int, error) {
 		v := ready[0]
 		ready = ready[1:]
 		order = append(order, v)
-		for _, s := range g.succs[v] {
+		for _, s := range g.Succs(v) {
 			indeg[s]--
 			if indeg[s] == 0 {
 				ready = append(ready, s)
@@ -275,13 +324,13 @@ func (g *Graph) HasPath(u, v int) bool {
 	if u == v {
 		return true
 	}
-	seen := make([]bool, len(g.succs))
+	seen := make([]bool, len(g.Time))
 	stack := []int{u}
 	seen[u] = true
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succs[x] {
+		for _, s := range g.Succs(x) {
 			if s == v {
 				return true
 			}
@@ -312,9 +361,9 @@ func (g *Graph) TransitiveReduction() []Edge {
 }
 
 func (g *Graph) hasPathAvoidingEdge(u, v int) bool {
-	seen := make([]bool, len(g.succs))
+	seen := make([]bool, len(g.Time))
 	var stack []int
-	for _, s := range g.succs[u] {
+	for _, s := range g.Succs(u) {
 		if s == v {
 			continue // skip the direct edge
 		}
@@ -329,7 +378,7 @@ func (g *Graph) hasPathAvoidingEdge(u, v int) bool {
 		if x == v {
 			return true
 		}
-		for _, s := range g.succs[x] {
+		for _, s := range g.Succs(x) {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)

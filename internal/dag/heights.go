@@ -30,7 +30,7 @@ func (g *Graph) computeHeights() (Heights, error) {
 	for k := len(order) - 1; k >= 0; k-- {
 		i := order[k]
 		var bestMin, bestMax int
-		for _, s := range g.succs[i] {
+		for _, s := range g.Succs(i) {
 			if h.Min[s] > bestMin {
 				bestMin = h.Min[s]
 			}
@@ -72,7 +72,7 @@ func (g *Graph) computeFinishTimes() (FinishTimes, error) {
 	}
 	for _, i := range order {
 		var bestMin, bestMax int
-		for _, p := range g.preds[i] {
+		for _, p := range g.Preds(i) {
 			if f.Min[p] > bestMin {
 				bestMin = f.Min[p]
 			}

@@ -2,7 +2,7 @@ package lang
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"barriermimd/internal/ir"
 )
@@ -24,7 +24,7 @@ func (v Var) eval(mem ir.Memory) int64 { return mem[v.Name] }
 // Const is an integer literal.
 type Const struct{ Value int64 }
 
-func (c Const) String() string       { return fmt.Sprintf("%d", c.Value) }
+func (c Const) String() string       { return strconv.FormatInt(c.Value, 10) }
 func (c Const) eval(ir.Memory) int64 { return c.Value }
 
 // Binary applies one of the seven arithmetic/logical operators.
@@ -33,13 +33,28 @@ type Binary struct {
 	L, R Expr
 }
 
-func (b Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L, opSymbol(b.Op), b.R)
-}
+func (b Binary) String() string { return string(appendExpr(nil, b)) }
 
 func (b Binary) eval(mem ir.Memory) int64 {
 	v, _ := ir.EvalOp(b.Op, b.L.eval(mem), b.R.eval(mem))
 	return v
+}
+
+// appendExpr appends e's rendering, with every binary operation in
+// parentheses, to buf. Program and statement rendering goes through it,
+// so no expression is formatted through fmt.
+func appendExpr(buf []byte, e Expr) []byte {
+	switch e := e.(type) {
+	case Var:
+		return append(buf, e.Name...)
+	case Const:
+		return strconv.AppendInt(buf, e.Value, 10)
+	case Binary:
+		buf = appendExpr(append(buf, '('), e.L)
+		buf = append(append(append(buf, ' '), opSymbol(e.Op)...), ' ')
+		return append(appendExpr(buf, e.R), ')')
+	}
+	return fmt.Appendf(buf, "%s", e) // nil, or a pointer to an expression
 }
 
 // opSymbol maps an ir.Op to its surface syntax.
@@ -70,7 +85,11 @@ type Assign struct {
 	Line int
 }
 
-func (a Assign) String() string { return fmt.Sprintf("%s = %s", a.Name, a.RHS) }
+func (a Assign) String() string { return string(a.appendTo(nil)) }
+
+func (a Assign) appendTo(buf []byte) []byte {
+	return appendExpr(append(append(buf, a.Name...), " = "...), a.RHS)
+}
 
 // Program is a basic block of assignment statements.
 type Program struct {
@@ -80,12 +99,11 @@ type Program struct {
 // String renders the program one statement per line, parseable back by
 // Parse.
 func (p *Program) String() string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 32*len(p.Stmts)) // a synthetic statement renders to about 20 bytes
 	for _, s := range p.Stmts {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
+		buf = append(s.appendTo(buf), '\n')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // Eval executes the program against a copy of the initial memory. It is

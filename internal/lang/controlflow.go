@@ -33,14 +33,7 @@ type If struct {
 	Else []Stmt // may be nil
 }
 
-func (s If) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "if %s {\n%s}", s.Cond, indentStmts(s.Then))
-	if s.Else != nil {
-		fmt.Fprintf(&sb, " else {\n%s}", indentStmts(s.Else))
-	}
-	return sb.String()
-}
+func (s If) String() string { return string(appendStmt(nil, s, 0)) }
 
 // While repeats Body while Cond != 0.
 type While struct {
@@ -48,20 +41,49 @@ type While struct {
 	Body []Stmt
 }
 
-func (s While) String() string {
-	return fmt.Sprintf("while %s {\n%s}", s.Cond, indentStmts(s.Body))
+func (s While) String() string { return string(appendStmt(nil, s, 0)) }
+
+// appendStmt appends s's rendering to buf with every line indented by
+// depth levels of two spaces.
+func appendStmt(buf []byte, s Stmt, depth int) []byte {
+	switch s := s.(type) {
+	case Assign:
+		return s.appendTo(appendIndent(buf, depth))
+	case If:
+		buf = appendExpr(append(appendIndent(buf, depth), "if "...), s.Cond)
+		buf = appendBody(buf, s.Then, depth)
+		if s.Else != nil {
+			buf = appendBody(append(buf, " else"...), s.Else, depth)
+		}
+		return buf
+	case While:
+		buf = appendExpr(append(appendIndent(buf, depth), "while "...), s.Cond)
+		return appendBody(buf, s.Body, depth)
+	}
+	for k, line := range strings.Split(s.String(), "\n") {
+		if k > 0 {
+			buf = append(buf, '\n')
+		}
+		buf = append(appendIndent(buf, depth), line...)
+	}
+	return buf
 }
 
-func indentStmts(stmts []Stmt) string {
-	var sb strings.Builder
+// appendBody appends a braced statement list one level deeper than
+// depth, closing it at depth.
+func appendBody(buf []byte, stmts []Stmt, depth int) []byte {
+	buf = append(buf, " {\n"...)
 	for _, s := range stmts {
-		for _, line := range strings.Split(s.String(), "\n") {
-			sb.WriteString("  ")
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
+		buf = append(appendStmt(buf, s, depth+1), '\n')
 	}
-	return sb.String()
+	return append(appendIndent(buf, depth), '}')
+}
+
+func appendIndent(buf []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		buf = append(buf, "  "...)
+	}
+	return buf
 }
 
 // CFProgram is a program in the extended language.
@@ -71,12 +93,11 @@ type CFProgram struct {
 
 // String renders the program; the output reparses with ParseCF.
 func (p *CFProgram) String() string {
-	var sb strings.Builder
+	var buf []byte
 	for _, s := range p.Stmts {
-		sb.WriteString(s.String())
-		sb.WriteByte('\n')
+		buf = append(appendStmt(buf, s, 0), '\n')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // ErrStepLimit is returned by Eval when execution exceeds the step budget

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"sort"
 
 	"barriermimd/internal/ir"
 )
@@ -42,25 +41,8 @@ type value struct {
 func constVal(c int64) value { return value{c: c} }
 func refVal(pos int) value   { return value{ref: pos, isRef: true} }
 
-// key canonically identifies a computation for CSE.
-type key struct {
-	op     ir.Op
-	aRef   int
-	aConst int64
-	aIsRef bool
-	bRef   int
-	bConst int64
-	bIsRef bool
-}
-
-func makeKey(op ir.Op, a, b value) key {
-	if op.IsCommutative() && less(b, a) {
-		a, b = b, a
-	}
-	return key{op: op, aRef: a.ref, aConst: a.c, aIsRef: a.isRef,
-		bRef: b.ref, bConst: b.c, bIsRef: b.isRef}
-}
-
+// less orders operands for commutative canonicalization: constants
+// before refs, then by ref position or constant value.
 func less(x, y value) bool {
 	if x.isRef != y.isRef {
 		return !x.isRef // constants order before refs
@@ -92,45 +74,58 @@ func Optimize(b *ir.Block) (*ir.Block, Stats, error) {
 }
 
 // OptimizeOpts is Optimize with optional extra passes.
+//
+// The pass runs over dense tables sized from the input: variables are
+// interned into ids once per call (ir.VarIDs), per-variable state is an
+// array indexed by id, and value numbering probes one open-addressing
+// table of input positions. It allocates a fixed handful of arrays per
+// call.
 func OptimizeOpts(b *ir.Block, opts Options) (*ir.Block, Stats, error) {
 	if err := b.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	st := Stats{Input: b.Len()}
+	ts := b.Tuples
+	n := len(ts)
+	st := Stats{Input: n}
 
-	vals := make([]value, b.Len())    // value of each input tuple
-	varVal := make(map[string]value)  // current value of each variable
-	exprs := make(map[key]int)        // computation -> surviving input pos
-	lastStore := make(map[string]int) // variable -> input pos of final store
-	isOp := make([]bool, b.Len())     // true if tuple is a surviving op candidate
+	scratch := make([]int32, 2*n+tableSize(n))
+	ids := scratch[:n]         // variable id of each Load and Store
+	newPos := scratch[n : 2*n] // output position of each surviving tuple
+	table := scratch[2*n:]     // value numbering: input position + 1
+	vars := make([]varState, ir.VarIDs(ts, ids))
+	vals := make([]value, n) // value of each input tuple
+	flags := make([]bool, 2*n)
+	isOp := flags[:n] // tuple is a surviving op candidate
+	live := flags[n:]
 
-	resolve := func(t ir.Tuple, k int) value {
+	resolve := func(t *ir.Tuple, k int) value {
 		if t.IsImm[k] {
 			return constVal(t.Imm[k])
 		}
 		return vals[t.Args[k]]
 	}
 
-	for i, t := range b.Tuples {
+	for i := range ts {
+		t := &ts[i]
 		switch {
 		case t.Op == ir.Load:
-			if v, ok := varVal[t.Var]; ok {
-				vals[i] = v
+			v := &vars[ids[i]]
+			if v.known {
+				vals[i] = v.val
 				st.PropagatedLoads++
 				continue
 			}
 			vals[i] = refVal(i)
-			varVal[t.Var] = vals[i]
+			v.val, v.known = vals[i], true
 			isOp[i] = true
 
 		case t.Op == ir.Store:
-			v := resolve(t, 0)
-			varVal[t.Var] = v
-			if prev, ok := lastStore[t.Var]; ok {
-				_ = prev
+			v := &vars[ids[i]]
+			v.val, v.known = resolve(t, 0), true
+			if v.lastStore != 0 {
 				st.DeadStores++
 			}
-			lastStore[t.Var] = i
+			v.lastStore = int32(i + 1)
 
 		case t.Op.IsBinary():
 			a, bb := resolve(t, 0), resolve(t, 1)
@@ -150,79 +145,124 @@ func OptimizeOpts(b *ir.Block, opts Options) (*ir.Block, Stats, error) {
 					continue
 				}
 			}
-			k := makeKey(t.Op, a, bb)
-			if pos, ok := exprs[k]; ok {
-				vals[i] = refVal(pos)
-				st.CSE++
-				continue
+			// An entry's canonical operands are recomputed from vals,
+			// which never change once set.
+			a, bb = canonical(t.Op, a, bb)
+			mask := uint32(len(table) - 1)
+			for h := hashComputation(t.Op, a, bb) & mask; ; h = (h + 1) & mask {
+				e := table[h]
+				if e == 0 {
+					table[h] = int32(i + 1)
+					vals[i] = refVal(i)
+					isOp[i] = true
+					break
+				}
+				p := &ts[e-1]
+				if p.Op != t.Op {
+					continue
+				}
+				if pa, pb := canonical(p.Op, resolve(p, 0), resolve(p, 1)); pa == a && pb == bb {
+					vals[i] = refVal(int(e - 1))
+					st.CSE++
+					break
+				}
 			}
-			vals[i] = refVal(i)
-			exprs[k] = i
-			isOp[i] = true
 
 		default:
 			return nil, Stats{}, fmt.Errorf("opt: unsupported op %v", t.Op)
 		}
 	}
 
-	// Liveness: final stores are roots; walk back through refs.
-	live := make([]bool, b.Len())
-	var mark func(v value)
-	mark = func(v value) {
-		if !v.isRef || live[v.ref] {
-			return
+	// Liveness: final stores are roots. Every ref points to an earlier
+	// position, so one backward sweep closes the live set.
+	for _, v := range vars {
+		if v.lastStore != 0 {
+			live[v.lastStore-1] = true
 		}
-		live[v.ref] = true
-		t := b.Tuples[v.ref]
+	}
+	out := 0
+	for i := n - 1; i >= 0; i-- {
+		if !live[i] {
+			if isOp[i] {
+				st.DeadOps++
+			}
+			continue
+		}
+		out++
+		t := &ts[i]
 		for k := 0; k < t.NumArgs(); k++ {
-			mark(resolve(t, k))
-		}
-	}
-	storePositions := make([]int, 0, len(lastStore))
-	for _, pos := range lastStore {
-		storePositions = append(storePositions, pos)
-	}
-	sort.Ints(storePositions)
-	for _, pos := range storePositions {
-		live[pos] = true
-		mark(resolve(b.Tuples[pos], 0))
-	}
-	for i := range isOp {
-		if isOp[i] && !live[i] {
-			st.DeadOps++
+			if v := resolve(t, k); v.isRef {
+				live[v.ref] = true
+			}
 		}
 	}
 
 	// Rebuild: surviving tuples in original order with original numbering.
-	out := &ir.Block{}
-	newPos := make(map[int]int)
-	emitOperand := func(t *ir.Tuple, k int, v value) {
-		if v.isRef {
-			t.Args[k] = newPos[v.ref]
-			t.IsImm[k] = false
-		} else {
-			t.Args[k] = ir.NoArg
-			t.IsImm[k] = true
-			t.Imm[k] = v.c
-		}
-	}
-	for i, t := range b.Tuples {
+	ob := &ir.Block{Tuples: make([]ir.Tuple, 0, out), IDs: make([]int, 0, out)}
+	for i := range ts {
 		if !live[i] {
 			continue
 		}
+		t := &ts[i]
 		nt := ir.Tuple{Op: t.Op, Var: t.Var, Args: [2]int{ir.NoArg, ir.NoArg}}
 		for k := 0; k < t.NumArgs(); k++ {
-			emitOperand(&nt, k, resolve(t, k))
+			if v := resolve(t, k); v.isRef {
+				nt.Args[k] = int(newPos[v.ref])
+			} else {
+				nt.IsImm[k] = true
+				nt.Imm[k] = v.c
+			}
 		}
-		newPos[i] = len(out.Tuples)
-		out.Tuples = append(out.Tuples, nt)
-		out.IDs = append(out.IDs, b.ID(i))
+		newPos[i] = int32(len(ob.Tuples))
+		ob.Tuples = append(ob.Tuples, nt)
+		ob.IDs = append(ob.IDs, b.ID(i))
 	}
-	st.Output = out.Len()
-	if err := out.Validate(); err != nil {
+	st.Output = ob.Len()
+	if err := ob.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("opt: produced invalid block: %w", err)
 	}
-	return out, st, nil
+	return ob, st, nil
+}
+
+// varState is the optimizer's per-variable state.
+type varState struct {
+	val       value // current value, when known
+	known     bool
+	lastStore int32 // input position + 1 of the latest store; 0 = none
+}
+
+// canonical orders the operands of a commutative op, constants first, so
+// that a+b and b+a share one table entry.
+func canonical(op ir.Op, a, b value) (value, value) {
+	if op.IsCommutative() && less(b, a) {
+		return b, a
+	}
+	return a, b
+}
+
+// hashComputation mixes a canonical computation into a table index.
+func hashComputation(op ir.Op, a, b value) uint32 {
+	const m = 0x9E3779B97F4A7C15
+	h := (uint64(op) ^ operandWord(a)) * m
+	h = (h ^ operandWord(b)) * m
+	return uint32(h >> 32)
+}
+
+func operandWord(v value) uint64 {
+	if v.isRef {
+		return uint64(v.ref)<<1 | 1
+	}
+	return uint64(v.c) << 1
+}
+
+// tableSize is the power-of-two open-addressing table size for at most n
+// entries: at least 2n, so probes stay short.
+func tableSize(n int) int {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
 }
 
 // simplify applies algebraic identities that are valid under the package's

@@ -107,6 +107,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// Config returns the configuration the server serves with: the one
+// passed to New, with Window, MaxBatch, MaxInflight, MaxBody and Timeout
+// defaulted as the Config field comments say.
+func (s *Server) Config() Config { return s.cfg }
+
 // Cache exposes the server's schedule cache (stats, tests).
 func (s *Server) Cache() *schedcache.Cache { return s.cache }
 

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"barriermimd/internal/ir"
 	"barriermimd/internal/lang"
@@ -150,7 +151,7 @@ func (g *cfGen) stmts(budget, depth int) []lang.Stmt {
 
 // whileLoop builds a guaranteed-terminating countdown loop.
 func (g *cfGen) whileLoop(bodyBudget, depth int) lang.Stmt {
-	counter := fmt.Sprintf("_l%d", g.loops)
+	counter := "_l" + strconv.Itoa(g.loops)
 	g.loops++
 	trips := int64(1 + g.rng.Intn(g.cfg.MaxIterations))
 	body := g.stmts(bodyBudget, depth)

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"barriermimd/internal/ir"
 	"barriermimd/internal/lang"
@@ -109,7 +110,7 @@ func (c Config) Validate() error {
 }
 
 // VarName returns the generator's name for variable i: v0, v1, ...
-func VarName(i int) string { return fmt.Sprintf("v%d", i) }
+func VarName(i int) string { return "v" + strconv.Itoa(i) }
 
 // Generate produces a random program. The same (Config, seed) pair always
 // yields the same program.
