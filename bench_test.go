@@ -424,22 +424,6 @@ func BenchmarkEdgeKindLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaRange measures region time sums over schedule timelines
-// (prefix-sum differences behind the scheduler's δ quantities).
-func BenchmarkDeltaRange(b *testing.B) {
-	g := benchGraph(b, 60, 10, 1)
-	s, err := core.ScheduleDAG(g, core.DefaultOptions(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := i % len(s.Procs)
-		idx := i % (len(s.Procs[p]) + 1)
-		s.RegionDelta(p, idx, i%2 == 0)
-	}
-}
-
 // BenchmarkMIMDComparison measures the conventional-MIMD extension
 // experiment (directed syncs + transitive reduction vs barriers).
 func BenchmarkMIMDComparison(b *testing.B) { runExp(b, "mimd") }

@@ -3,7 +3,6 @@ package bdag
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"barriermimd/internal/ir"
 )
@@ -45,23 +44,17 @@ func (a *arcs) find(v int) (int, bool) {
 // Path queries (HasPath, Topo, LongestFrom, Dominators, PathsBetween) are
 // memoized per graph generation — see memo.go. Construction-time mutations
 // (AddBarrier, AddRegion) drop the caches wholesale; the incremental
-// mutations patch the cached rows to their new values. Cached slices are
-// shared between callers and valid until the next mutation: treat every
-// slice returned by a query as read-only.
+// mutations patch the cached rows to their new values. Cached slices and
+// adjacency lists are shared with the graph and valid until the next
+// mutation: treat every slice a query returns as read-only.
+//
+// A Graph is a working structure with one owner: queries fill the memo,
+// so even read-only use must stay on one goroutine.
 type Graph struct {
 	parts [][]int // participants per barrier, sorted
 	out   []arcs  // successor arcs, sorted by target
 	in    [][]int // sorted predecessor lists
 	memo  memo    // query caches, invalidated on mutation
-
-	// cow flips true once Succs or Preds hands an adjacency slice to a
-	// caller; from then on mutations copy those slices instead of editing
-	// in place, so the handed-out views keep their contents. Until then —
-	// the whole scheduling hot loop, which only queries through the memo —
-	// inserts and deletes shift elements within the existing backing
-	// array and allocate nothing. Atomic because finished schedules are
-	// read concurrently across experiment workers.
-	cow atomic.Bool
 }
 
 // New returns a graph containing only the initial barrier across the given
@@ -79,7 +72,7 @@ func (g *Graph) Len() int { return len(g.parts) }
 // returns its index. This is the construction-time mutation: it drops the
 // memo wholesale. Use InsertBarrier to patch a built graph instead.
 func (g *Graph) AddBarrier(participants []int) int {
-	g.invalidate()
+	g.memo.invalidate()
 	return g.addNode(participants)
 }
 
@@ -120,27 +113,16 @@ func (g *Graph) addNode(participants []int) int {
 // graph per merge or rollback. Lifetime counters restart; harvest
 // CacheStats/MaintStats first.
 //
-// Reset breaks the shared-slice contract: every slice a query on this
-// graph returned earlier is overwritten by the next generation. Callers
-// must ensure no views are outstanding — the scheduler copies the few
-// results it keeps across rebuilds and stops resetting once a graph
-// escapes into a finished Schedule.
+// Reset ends every slice a query on this graph returned earlier: the
+// next generation overwrites them. The scheduler copies the few results
+// it keeps across rebuilds, and what a finished Schedule keeps of the
+// final graph, before it resets.
 func (g *Graph) Reset(initialParticipants []int) {
-	g.memo.mu.Lock()
 	g.parts = g.parts[:0]
 	g.out = g.out[:0]
 	g.in = g.in[:0]
 	g.memo.reset()
-	g.memo.mu.Unlock()
-	g.cow.Store(false)
 	g.AddBarrier(initialParticipants)
-}
-
-// invalidate drops the memoized query caches after a mutation.
-func (g *Graph) invalidate() {
-	g.memo.mu.Lock()
-	g.memo.invalidate()
-	g.memo.mu.Unlock()
 }
 
 // Participants returns the sorted processor set of barrier b. Shared; do
@@ -152,13 +134,14 @@ func (g *Graph) Participants(b int) []int { return g.parts[b] }
 // rule: edge min/max are the maxima of the contributed mins/maxes. This is
 // the construction-time mutation: it drops the memo wholesale.
 func (g *Graph) AddRegion(u, v int, t ir.Timing) {
-	g.invalidate()
+	g.memo.invalidate()
 	g.addContrib(u, v, t)
 }
 
 // addContrib inserts one processor's contribution to edge (u,v), creating
-// the edge if needed, without touching the memo. The exposed adjacency
-// slices are copied on length change so cached views stay intact.
+// the edge if needed, without touching the memo. Inserts shift elements
+// within the existing backing arrays, so the hot loop allocates nothing
+// once they have grown.
 func (g *Graph) addContrib(u, v int, t ir.Timing) {
 	if u == v {
 		panic(fmt.Sprintf("bdag: self edge on barrier %d", u))
@@ -166,12 +149,11 @@ func (g *Graph) addContrib(u, v int, t ir.Timing) {
 	a := &g.out[u]
 	k, ok := a.find(v)
 	if !ok {
-		cow := g.cow.Load()
-		a.to = insertInt(a.to, k, v, cow)
-		a.agg = insertTiming(a.agg, k, t, cow)
-		a.contrib = insertContrib(a.contrib, k, t, cow)
+		a.to = insertAt(a.to, k, v)
+		a.agg = insertAt(a.agg, k, t)
+		a.contrib = insertContrib(a.contrib, k, t)
 		ki := sort.SearchInts(g.in[v], u)
-		g.in[v] = insertInt(g.in[v], ki, u, cow)
+		g.in[v] = insertAt(g.in[v], ki, u)
 		return
 	}
 	a.contrib[k] = append(a.contrib[k], t)
@@ -207,24 +189,14 @@ func (g *Graph) removeContrib(u, v int, t ir.Timing) {
 		panic(fmt.Sprintf("bdag: contribution %v absent from edge (%d,%d)", t, u, v))
 	}
 	if len(c) == 1 {
-		cow := g.cow.Load()
-		a.to = deleteAt(a.to, k, cow)
-		a.agg = deleteAt(a.agg, k, cow)
-		a.contrib = deleteAt(a.contrib, k, cow)
+		a.to = deleteAt(a.to, k)
+		a.agg = deleteAt(a.agg, k)
+		a.contrib = deleteAt(a.contrib, k)
 		ki := sort.SearchInts(g.in[v], u)
-		g.in[v] = deleteAt(g.in[v], ki, cow)
+		g.in[v] = deleteAt(g.in[v], ki)
 		return
 	}
-	// The multiset is never exposed, but under copy-on-write the whole
-	// adjacency generation must stay intact, so it is copied too.
-	var nc []ir.Timing
-	if g.cow.Load() {
-		nc = make([]ir.Timing, 0, len(c)-1)
-		nc = append(nc, c[:at]...)
-		nc = append(nc, c[at+1:]...)
-	} else {
-		nc = append(c[:at], c[at+1:]...)
-	}
+	nc := append(c[:at], c[at+1:]...)
 	a.contrib[k] = nc
 	agg := ir.Timing{}
 	for _, x := range nc {
@@ -238,51 +210,23 @@ func (g *Graph) removeContrib(u, v int, t ir.Timing) {
 	a.agg[k] = agg
 }
 
-// insertInt returns s with v inserted at position k. Under cow a fresh
-// slice is allocated so previously returned views keep their contents;
-// otherwise the tail shifts within the existing backing array.
-func insertInt(s []int, k, v int, cow bool) []int {
-	if cow {
-		out := make([]int, len(s)+1)
-		copy(out, s[:k])
-		out[k] = v
-		copy(out[k+1:], s[k:])
-		return out
-	}
-	s = append(s, 0)
+// insertAt returns s with v inserted at position k, shifting the tail
+// within the existing backing array.
+func insertAt[T any](s []T, k int, v T) []T {
+	var zero T
+	s = append(s, zero)
 	copy(s[k+1:], s[k:])
 	s[k] = v
 	return s
 }
 
-func insertTiming(s []ir.Timing, k int, t ir.Timing, cow bool) []ir.Timing {
-	if cow {
-		out := make([]ir.Timing, len(s)+1)
-		copy(out, s[:k])
-		out[k] = t
-		copy(out[k+1:], s[k:])
-		return out
-	}
-	s = append(s, ir.Timing{})
-	copy(s[k+1:], s[k:])
-	s[k] = t
-	return s
-}
-
 // insertContrib inserts a fresh single-contribution multiset {t} at
-// position k. Without cow it recycles the slice header parked just beyond
-// len(s) when one exists — after a Reset those spares are the previous
+// position k. It recycles the slice header parked just beyond len(s)
+// when one exists — after a Reset those spares are the previous
 // generation's dead rows, so warm arena rebuilds allocate nothing per
 // edge. Spares never alias a live row: contribution rows are only ever
 // appended or tail-zeroed by deleteAt, never duplicated past the length.
-func insertContrib(s [][]ir.Timing, k int, t ir.Timing, cow bool) [][]ir.Timing {
-	if cow {
-		out := make([][]ir.Timing, len(s)+1)
-		copy(out, s[:k])
-		out[k] = []ir.Timing{t}
-		copy(out[k+1:], s[k:])
-		return out
-	}
+func insertContrib(s [][]ir.Timing, k int, t ir.Timing) [][]ir.Timing {
 	var spare []ir.Timing
 	if n := len(s); n < cap(s) {
 		spare = s[:n+1][n]
@@ -293,14 +237,9 @@ func insertContrib(s [][]ir.Timing, k int, t ir.Timing, cow bool) [][]ir.Timing 
 	return s
 }
 
-// deleteAt returns s without the element at position k; fresh copy under
-// cow, in-place shift otherwise.
-func deleteAt[T any](s []T, k int, cow bool) []T {
-	if cow {
-		out := make([]T, 0, len(s)-1)
-		out = append(out, s[:k]...)
-		return append(out, s[k+1:]...)
-	}
+// deleteAt returns s without the element at position k, shifting the
+// tail in place.
+func deleteAt[T any](s []T, k int) []T {
 	copy(s[k:], s[k+1:])
 	var zero T
 	s[len(s)-1] = zero
@@ -317,20 +256,9 @@ func (g *Graph) EdgeTiming(u, v int) (ir.Timing, bool) {
 	return ir.Timing{}, false
 }
 
-// Succs returns the successors of u in ascending order. The slice is
-// shared and stays valid across mutations (handing it out switches the
-// graph to copy-on-write adjacency); do not modify.
-func (g *Graph) Succs(u int) []int {
-	g.cow.Store(true)
-	return g.out[u].to
-}
-
-// Preds returns the predecessors of v in ascending order. Shared, valid
-// across mutations as with Succs; do not modify.
-func (g *Graph) Preds(v int) []int {
-	g.cow.Store(true)
-	return g.in[v]
-}
+// Succs returns the successors of u in ascending order. Shared and valid
+// until the next mutation, like every memo row; do not modify.
+func (g *Graph) Succs(u int) []int { return g.out[u].to }
 
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
@@ -350,16 +278,13 @@ func (g *Graph) HasPath(u, v int) bool {
 	if u == v {
 		return true
 	}
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.reachLocked(u).test(v)
+	return g.reachSet(u).test(v)
 }
 
 // computeReach returns the reachability set of u (including u itself).
-// memo.mu must be held: the DFS reuses the memo's traversal stack and
-// short-circuits through already-cached rows — hitting a node whose row
-// is cached unions the whole row in one word-ops pass instead of walking
-// its cone again.
+// The DFS reuses the memo's traversal stack and short-circuits through
+// already-cached rows — hitting a node whose row is cached unions the
+// whole row in one word-ops pass instead of walking its cone again.
 func (g *Graph) computeReach(u int) bitset {
 	m := &g.memo
 	r := m.grabBitset(g.Len())
@@ -398,13 +323,18 @@ func (g *Graph) Ordered(a, b int) bool {
 // new constraints allow it, so the order is always valid but not
 // necessarily the one a fresh computation would produce.
 func (g *Graph) Topo() ([]int, error) {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.topoLocked()
+	m := &g.memo
+	if m.topoSet {
+		m.stats.Hits++
+		return m.topo, m.topoErr
+	}
+	m.stats.Misses++
+	g.recomputeTopo()
+	return m.topo, m.topoErr
 }
 
-// computeTopo builds the topological order; memo.mu must be held (the
-// in-degree counter and ready list come from memo scratch).
+// computeTopo builds the topological order (the in-degree counter and
+// ready list come from memo scratch).
 func (g *Graph) computeTopo() ([]int, error) {
 	n := g.Len()
 	m := &g.memo
@@ -458,11 +388,24 @@ func weight(t ir.Timing, useMax bool) int {
 // LongestFrom computes, for every barrier, the longest-path distance from u
 // using maximum (useMax) or minimum edge weights. Unreachable barriers get
 // Unreachable. dist[u] == 0. The vector is memoized per (u, useMax) and
-// shared until the next mutation; do not modify.
+// shared until the next mutation; do not modify. Errors (a cyclic graph)
+// are not cached: they indicate a scheduler bug and abort the run anyway.
 func (g *Graph) LongestFrom(u int, useMax bool) ([]int, error) {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.distLocked(u, useMax)
+	m := &g.memo
+	tbl := m.distTable(useMax)
+	*tbl = sized(*tbl, g.Len())
+	if d := (*tbl)[u]; d != nil {
+		m.stats.Hits++
+		return d, nil
+	}
+	m.stats.Misses++
+	order, err := g.Topo()
+	if err != nil {
+		return nil, err
+	}
+	d := g.computeLongestFrom(order, u, useMax)
+	(*tbl)[u] = d
+	return d, nil
 }
 
 // computeLongestFrom runs the topological-order relaxation given a
@@ -509,13 +452,24 @@ func (g *Graph) FireWindows() (min, max []int, err error) {
 // barrier get idom -1 (they cannot occur in a valid schedule). The vector
 // is memoized and shared until the next mutation; do not modify.
 func (g *Graph) Dominators() ([]int, error) {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.idomLocked()
+	m := &g.memo
+	if m.idomSet {
+		m.stats.Hits++
+		return m.idom, m.idomErr
+	}
+	m.stats.Misses++
+	order, err := g.Topo()
+	if err != nil {
+		m.idom, m.idomErr = nil, err
+	} else {
+		m.idom, m.idomErr = g.computeDominators(order), nil
+	}
+	m.idomSet = true
+	return m.idom, m.idomErr
 }
 
 // computeDominators runs the iterative dataflow algorithm given a
-// precomputed topological order; memo.mu must be held.
+// precomputed topological order.
 func (g *Graph) computeDominators(order []int) []int {
 	idom := g.memo.grabInts(g.Len())
 	for i := range idom {
@@ -530,8 +484,7 @@ func (g *Graph) computeDominators(order []int) []int {
 // be in topological order, until fixpoint, updating idom in place; every
 // other node's entry is taken as a final input. computeDominators passes
 // the whole order, the insertion patch of incremental.go only the new
-// barrier's cone. memo.mu must be held: intersect compares positions in
-// the cached order.
+// barrier's cone. intersect compares positions in the cached order.
 func (g *Graph) refineDominators(nodes, idom []int) {
 	pos := g.memo.topoPos
 	intersect := func(a, b int) int {

@@ -349,9 +349,9 @@ func TestSuccsPredsSorted(t *testing.T) {
 	if len(s) != 2 || s[0] != 1 || s[1] != 2 {
 		t.Errorf("Succs(b0) = %v", s)
 	}
-	p := g.Preds(4)
+	p := g.in[4]
 	if len(p) != 2 || p[0] != 2 || p[1] != 3 {
-		t.Errorf("Preds(b4) = %v", p)
+		t.Errorf("predecessors of b4 = %v", p)
 	}
 }
 

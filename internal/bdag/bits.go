@@ -4,7 +4,7 @@ package bdag
 // memoized reachability rows use it instead of []bool so a row costs one
 // word per 64 barriers and set/test/union are single instructions per
 // word. Rows are sized for the graph when computed; a patch that adds a
-// later node to a row grows it first (see patchLocked), and test
+// later node to a row grows it first (see patchMemo), and test
 // bounds-checks, so a row that never gains a later node stays short and
 // answers false for it.
 type bitset []uint64

@@ -27,5 +27,10 @@
 // k-path enumeration behind the optimal inserter (PathsBetween) — are
 // memoized on the Graph; CacheStats reports the hit rate and MaintStats
 // the patch/invalidation balance. A row a query returns is shared and
-// valid until the graph's next mutation; a finished graph never changes.
+// valid until the graph's next mutation.
+//
+// A Graph is a working structure with a single owner on a single
+// goroutine: a query may fill the memo, so the graph carries no locks. A
+// finished schedule does not keep its graph; it keeps a frozen copy of
+// the few answers its readers need (core.BarrierView).
 package bdag

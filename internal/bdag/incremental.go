@@ -59,13 +59,11 @@ type Split struct {
 // acyclic (WouldCycle performs exactly that check). The memo is patched
 // in place; see the comment above.
 func (g *Graph) InsertBarrier(participants []int, splits []Split) int {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
 	w := g.addNode(participants)
 	for _, sp := range splits {
 		g.applySplit(w, sp)
 	}
-	g.patchLocked(w, splits)
+	g.patchMemo(w, splits)
 	return w
 }
 
@@ -96,9 +94,8 @@ func (g *Graph) WouldCycle(splits []Split) bool {
 	return false
 }
 
-// applySplit patches the node/edge arrays for one split around barrier w;
-// memo.mu must be held. Memo maintenance happens separately in
-// patchLocked.
+// applySplit patches the node/edge arrays for one split around barrier w.
+// Memo maintenance happens separately in patchMemo.
 func (g *Graph) applySplit(w int, sp Split) {
 	if sp.Next != NoBarrier {
 		old := ir.Timing{Min: sp.ToNew.Min + sp.FromNew.Min, Max: sp.ToNew.Max + sp.FromNew.Max}
@@ -108,9 +105,9 @@ func (g *Graph) applySplit(w int, sp Split) {
 	g.addContrib(sp.Prev, w, sp.ToNew)
 }
 
-// patchLocked brings the memo up to date after the new barrier w gained
-// the given splits; memo.mu must be held.
-func (g *Graph) patchLocked(w int, splits []Split) {
+// patchMemo brings the memo up to date after the new barrier w gained
+// the given splits.
+func (g *Graph) patchMemo(w int, splits []Split) {
 	m := &g.memo
 	m.maint.Patches++
 
@@ -143,7 +140,7 @@ func (g *Graph) patchLocked(w int, splits []Split) {
 	// Reachability rows gain reach(w) when their source reaches a Prev.
 	// computeReach short-circuits through the Nexts' rows, which the
 	// mutation leaves exact, and reach(w) is cached as w's own row.
-	order := g.patchTopoLocked(w)
+	order := g.patchTopo(w)
 	n := g.Len()
 	rw := g.computeReach(w)
 	for src, r := range m.reach {
@@ -200,7 +197,7 @@ func (g *Graph) patchLocked(w int, splits []Split) {
 		}
 	}
 
-	g.patchDomLocked(cone)
+	g.patchDom(cone)
 }
 
 // relaxCone raises the longest-path row d, already extended by an entry
@@ -234,13 +231,12 @@ func (g *Graph) relaxCone(d, cone []int, useMax bool) {
 	}
 }
 
-// patchTopoLocked keeps the cached topological order valid after the new
+// patchTopo keeps the cached topological order valid after the new
 // barrier w gained its edges and returns it, or nil when no valid order
 // is cached. When every predecessor position precedes every successor
 // position, w slots in right after its last predecessor and the position
-// index shifts past it; otherwise the order is recomputed. memo.mu must
-// be held.
-func (g *Graph) patchTopoLocked(w int) []int {
+// index shifts past it; otherwise the order is recomputed.
+func (g *Graph) patchTopo(w int) []int {
 	m := &g.memo
 	if !m.topoSet {
 		return nil
@@ -260,7 +256,7 @@ func (g *Graph) patchTopoLocked(w int) []int {
 	}
 	if maxPred >= minSucc {
 		m.intFree = append(m.intFree, m.topo)
-		g.recomputeTopoLocked()
+		g.recomputeTopo()
 		if m.topoErr != nil {
 			return nil
 		}
@@ -279,10 +275,10 @@ func (g *Graph) patchTopoLocked(w int) []int {
 	return order
 }
 
-// patchDomLocked recomputes immediate dominators on the cone, in place,
+// patchDom recomputes immediate dominators on the cone, in place,
 // keeping every other node's value; a nil cone (no valid cached order)
-// drops them instead. memo.mu must be held.
-func (g *Graph) patchDomLocked(cone []int) {
+// drops them instead.
+func (g *Graph) patchDom(cone []int) {
 	m := &g.memo
 	if !m.idomSet {
 		return

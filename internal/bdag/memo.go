@@ -1,10 +1,6 @@
 package bdag
 
-import (
-	"sync"
-
-	"barriermimd/internal/metrics"
-)
+import "barriermimd/internal/metrics"
 
 // The scheduler issues the same path queries many times between barrier
 // mutations: every producer/consumer check walks longest paths from its
@@ -21,27 +17,16 @@ import (
 // lists) are returned as shared slices; callers must treat them as
 // read-only. A returned row is valid until the graph's next mutation,
 // which may patch it in place, grow it, or recycle its storage: read it
-// at once or copy it. Only the scheduler mutates a graph, and a finished
-// graph never changes, so concurrent readers of a finished schedule can
-// share rows freely.
-//
-// Path enumerations are the exception to the "computed under memo.mu"
-// rule: memo.mu only guards the per-(u,v) enumeration entry table, and
-// the lazy best-first generation itself runs under the entry's own lock
-// (per-key single-flight). Concurrent readers of a finished graph
-// therefore never serialize one pair's path search behind another's.
+// at once or copy it. Every query can fill the memo, so a graph belongs
+// to one goroutine — the scheduler's, or an auditor's private rebuild.
 
 // pathKey identifies one lazy path enumeration.
 type pathKey struct {
 	u, v int
 }
 
-// memo holds the per-graph query caches. The mutex makes a finished graph
-// safe for concurrent readers (experiment trials share schedules across
-// worker goroutines); within one scheduling run there is no contention.
+// memo holds the per-graph query caches.
 type memo struct {
-	mu sync.Mutex
-
 	topoSet bool
 	topo    []int
 	topoErr error
@@ -62,7 +47,7 @@ type memo struct {
 	enums      map[pathKey]*pathEnum
 
 	// stack, prevs, and cone are traversal scratch reused by the
-	// compute/patch helpers; all are only touched with mu held.
+	// compute/patch helpers.
 	stack []int
 	prevs []int
 	cone  []int
@@ -70,7 +55,7 @@ type memo struct {
 	// intFree, bsFree, and enumFree are freelists of dead memo state, fed
 	// by reset when an arena graph starts a new generation (and by the
 	// patch helpers for rows they replace or drop) and drained by the
-	// compute helpers. Only touched with mu held.
+	// compute helpers.
 	intFree  [][]int
 	bsFree   []bitset
 	enumFree []*pathEnum
@@ -136,13 +121,11 @@ func (m *memo) reset() {
 	m.maint = metrics.MaintStats{}
 }
 
-// freeEnum parks a dead path enumeration for reuse; memo.mu must be
-// held. The materialized paths and the slice-of-paths backing escaped to
-// callers (PathsBetween returns e.paths sub-slices, NthPath returns its
-// elements) and are left to the garbage collector; the generator arena,
-// the length table, and the entry struct itself are private to the
-// package and recycled. Safe because mutations — the only droppers —
-// run on the scheduling goroutine, never concurrently with readers.
+// freeEnum parks a dead path enumeration for reuse. The materialized
+// paths and the slice-of-paths backing escaped to callers (PathsBetween
+// returns e.paths sub-slices, NthPath returns its elements) and are left
+// to the garbage collector; the generator arena, the length table, and
+// the entry struct itself are private to the package and recycled.
 func (m *memo) freeEnum(e *pathEnum) {
 	e.g = nil
 	e.paths = nil
@@ -152,7 +135,7 @@ func (m *memo) freeEnum(e *pathEnum) {
 }
 
 // grabInts returns a length-n []int recycled from the freelist when
-// possible (contents undefined); memo.mu must be held. Fresh rows carry
+// possible (contents undefined). Fresh rows carry
 // slack beyond n: the graph gains one node per inserted barrier, which a
 // patched row absorbs in place, and an exact-size row harvested from
 // generation g would be too small for every generation after g, so the
@@ -173,7 +156,7 @@ func (m *memo) grabInts(n int) []int {
 const rowSlack = 64
 
 // grabBitset returns a zeroed bitset able to hold nodes [0, n), recycled
-// from the freelist when possible; memo.mu must be held. Fresh bitsets
+// from the freelist when possible. Fresh bitsets
 // carry word slack for the same reason grabInts does.
 func (m *memo) grabBitset(n int) bitset {
 	words := (n + 63) >> 6
@@ -192,36 +175,16 @@ func (m *memo) grabBitset(n int) bitset {
 // CacheStats returns the accumulated hit/miss counters of the graph's
 // memoized path queries (Topo, Dominators, LongestFrom, HasPath, and the
 // per-pair path enumerations behind PathsBetween/NthPath).
-func (g *Graph) CacheStats() metrics.CacheStats {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.memo.stats
-}
+func (g *Graph) CacheStats() metrics.CacheStats { return g.memo.stats }
 
 // MaintStats returns the accumulated incremental-maintenance counters:
 // how many mutations were patched in place and how many memo rows each
 // patch kept versus dropped.
-func (g *Graph) MaintStats() metrics.MaintStats {
-	g.memo.mu.Lock()
-	defer g.memo.mu.Unlock()
-	return g.memo.maint
-}
+func (g *Graph) MaintStats() metrics.MaintStats { return g.memo.maint }
 
-// topoLocked returns the cached topological order; memo.mu must be held.
-func (g *Graph) topoLocked() ([]int, error) {
-	m := &g.memo
-	if m.topoSet {
-		m.stats.Hits++
-		return m.topo, m.topoErr
-	}
-	m.stats.Misses++
-	g.recomputeTopoLocked()
-	return m.topo, m.topoErr
-}
-
-// recomputeTopoLocked caches a freshly computed order together with its
-// position index; memo.mu must be held.
-func (g *Graph) recomputeTopoLocked() {
+// recomputeTopo caches a freshly computed order together with its
+// position index.
+func (g *Graph) recomputeTopo() {
 	m := &g.memo
 	m.topo, m.topoErr = g.computeTopo()
 	m.topoSet = true
@@ -237,29 +200,9 @@ func (g *Graph) recomputeTopoLocked() {
 	}
 }
 
-// idomLocked returns the cached immediate-dominator vector; memo.mu must
-// be held.
-func (g *Graph) idomLocked() ([]int, error) {
-	m := &g.memo
-	if m.idomSet {
-		m.stats.Hits++
-		return m.idom, m.idomErr
-	}
-	m.stats.Misses++
-	order, err := g.topoLocked()
-	if err != nil {
-		m.idom, m.idomErr = nil, err
-	} else {
-		m.idom, m.idomErr = g.computeDominators(order), nil
-	}
-	m.idomSet = true
-	return m.idom, m.idomErr
-}
-
-// reachLocked returns the cached reachability set of u (reach.test(v)
-// reports whether v is reachable from u, with u itself included);
-// memo.mu must be held.
-func (g *Graph) reachLocked(u int) bitset {
+// reachSet returns the cached reachability set of u (reachSet(u).test(v)
+// reports whether v is reachable from u, with u itself included).
+func (g *Graph) reachSet(u int) bitset {
 	m := &g.memo
 	m.reach = sized(m.reach, g.Len())
 	if r := m.reach[u]; r != nil {
@@ -273,7 +216,7 @@ func (g *Graph) reachLocked(u int) bitset {
 }
 
 // reachRow returns the cached reachability row of u without computing it
-// (nil when absent); memo.mu must be held.
+// (nil when absent).
 func (m *memo) reachRow(u int) bitset {
 	if u < len(m.reach) {
 		return m.reach[u]
@@ -297,34 +240,10 @@ func (m *memo) distTable(useMax bool) *[][]int {
 	return &m.dmin
 }
 
-// distLocked returns the cached LongestFrom vector; memo.mu must be held.
-// Errors (a cyclic graph) are not cached: they indicate a scheduler bug
-// and abort the run anyway.
-func (g *Graph) distLocked(src int, useMax bool) ([]int, error) {
-	m := &g.memo
-	tbl := m.distTable(useMax)
-	*tbl = sized(*tbl, g.Len())
-	if d := (*tbl)[src]; d != nil {
-		m.stats.Hits++
-		return d, nil
-	}
-	m.stats.Misses++
-	order, err := g.topoLocked()
-	if err != nil {
-		return nil, err
-	}
-	d := g.computeLongestFrom(order, src, useMax)
-	(*tbl)[src] = d
-	return d, nil
-}
-
 // enumFor returns the lazy path enumeration for (u, v), creating it if
-// absent. memo.mu is held only for the table lookup; the enumeration's
-// own lock serializes generation per key, so concurrent queries on
-// different pairs proceed in parallel.
+// absent.
 func (g *Graph) enumFor(u, v int) *pathEnum {
 	m := &g.memo
-	m.mu.Lock()
 	if m.enums == nil {
 		m.enums = make(map[pathKey]*pathEnum)
 	}
@@ -342,6 +261,5 @@ func (g *Graph) enumFor(u, v int) *pathEnum {
 	} else {
 		m.stats.Hits++
 	}
-	m.mu.Unlock()
 	return e
 }

@@ -1,7 +1,5 @@
 package bdag
 
-import "sync"
-
 // Path is a barrier sequence from some u to some v along dag edges.
 type Path []int
 
@@ -41,8 +39,6 @@ func (g *Graph) PathsBetween(u, v int, limit int) []Path {
 		limit = 64
 	}
 	e := g.enumFor(u, v)
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.fill(limit)
 	n := min(limit, len(e.paths))
 	return e.paths[:n:n]
@@ -56,8 +52,6 @@ func (g *Graph) PathsBetween(u, v int, limit int) []Path {
 // The returned path is shared; do not modify.
 func (g *Graph) NthPath(u, v, k int) (p Path, maxLen int, ok bool) {
 	e := g.enumFor(u, v)
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.fill(k + 1)
 	if k >= len(e.paths) {
 		return nil, 0, false
@@ -67,10 +61,8 @@ func (g *Graph) NthPath(u, v, k int) (p Path, maxLen int, ok bool) {
 
 // pathEnum is the memoized enumeration state of one (u, v) pair: the
 // ranked prefix materialized so far plus the generator that can extend
-// it. Its lock makes extension single-flight per key without holding the
-// graph-wide memo.mu across the search.
+// it.
 type pathEnum struct {
-	mu    sync.Mutex
 	g     *Graph
 	u, v  int
 	paths []Path
@@ -81,8 +73,8 @@ type pathEnum struct {
 	started, done bool
 }
 
-// fill extends the materialized prefix to n paths (or exhaustion); the
-// entry lock must be held. The generator arena sticks to the entry even
+// fill extends the materialized prefix to n paths (or exhaustion). The
+// generator arena sticks to the entry even
 // after exhaustion, so a recycled entry restarts without reallocating
 // its tree, heap, or distance vector.
 func (e *pathEnum) fill(n int) {

@@ -143,20 +143,12 @@ func schedMain(fs *flag.FlagSet, opts core.Options, stdin io.Reader, stdout, std
 	fmt.Fprint(stdout, s.Render())
 
 	fmt.Fprintln(stdout, "\n=== Barrier dag ===")
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return fail(stderr, "bmsched", err)
-	}
-	node2id := make(map[int]int, len(s.BarrierNode))
-	for id, n := range s.BarrierNode {
-		node2id[n] = id
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 	for _, id := range s.BarrierIDs() {
-		n := s.BarrierNode[id]
-		fmt.Fprintf(stdout, "b%-3d procs=%v fires in [%d,%d]", id, s.Participants[id], fmin[n], fmax[n])
+		fmt.Fprintf(stdout, "b%-3d procs=%v fires in [%d,%d]", id, s.Participants[id], fmin[id], fmax[id])
 		var succs []string
-		for _, sn := range s.Barriers.Succs(n) {
-			succs = append(succs, fmt.Sprintf("b%d", node2id[sn]))
+		for _, sn := range s.Barriers.Succs(id) {
+			succs = append(succs, fmt.Sprintf("b%d", sn))
 		}
 		if len(succs) > 0 {
 			fmt.Fprintf(stdout, "  -> %s", strings.Join(succs, " "))

@@ -52,6 +52,9 @@ func TestNonNegative(t *testing.T) {
 		{"bmsched", func(a []string, e *bytes.Buffer) int {
 			return Sched(a, strings.NewReader(""), &bytes.Buffer{}, e)
 		}, []string{"-j", "-2", "-example"}, "-j = -2, need >= 0"},
+		{"bmsched-procs", func(a []string, e *bytes.Buffer) int {
+			return Sched(a, strings.NewReader(""), &bytes.Buffer{}, e)
+		}, []string{"-procs", "4097", "-example"}, "Processors = 4097, need <= 4096"},
 		{"bmexp", func(a []string, e *bytes.Buffer) int {
 			return Exp(a, &bytes.Buffer{}, e)
 		}, []string{"-lanes", "-3"}, "-lanes = -3, need >= 0"},

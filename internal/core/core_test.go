@@ -268,6 +268,9 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			}
 			t.Fatal("barrier already spans every processor")
 		}, "participants but"},
+		{"no participant table", func(s *Schedule) {
+			s.Participants = nil
+		}, "no initial barrier"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := ScheduleDAG(synthGraph(t, 30, 6, 1), DefaultOptions(4))
@@ -406,6 +409,9 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{Processors: 2, Lookahead: -1}).Validate(); err == nil {
 		t.Error("accepted negative lookahead")
+	}
+	if err := (Options{Processors: MaxProcessors + 1}).Validate(); err == nil {
+		t.Errorf("accepted %d processors", MaxProcessors+1)
 	}
 	if _, err := ScheduleDAG(nil, Options{}); err == nil {
 		t.Error("ScheduleDAG accepted invalid options")

@@ -21,6 +21,16 @@
 // simulator in internal/machine validates the resulting schedules end to
 // end under randomized instruction timings.
 //
+// # Finished schedules
+//
+// A Schedule keeps no barrier graph. Schedule.Barriers is a frozen
+// BarrierView indexed by barrier id (fire windows, successors, and the
+// [min,max] region time of each edge), and Schedule.Participants an
+// id-indexed table whose merged-away ids are nil. The scheduler's working
+// graphs stay in its pooled arena. Nothing in the package writes to a
+// returned Schedule, and it shares no storage with later runs, so
+// goroutines may read one at once.
+//
 // # Observability
 //
 // Options.Recorder attaches an internal/obsv trace recorder: every

@@ -10,26 +10,18 @@ import (
 // labeled with its participants and fire window, and edges labeled with
 // the [min,max] region times of the code between barriers.
 func (s *Schedule) BarrierDOT() (string, error) {
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return "", err
-	}
-	node2id := make(map[int]int, len(s.BarrierNode))
-	for id, n := range s.BarrierNode {
-		node2id[n] = id
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 	var sb strings.Builder
 	sb.WriteString("digraph barrier_dag {\n")
 	sb.WriteString("  rankdir=TB;\n  node [shape=ellipse, fontname=\"monospace\"];\n")
 	for _, id := range s.BarrierIDs() {
-		n := s.BarrierNode[id]
 		fmt.Fprintf(&sb, "  b%d [label=\"b%d %v\\nfires [%d,%d]\"];\n",
-			id, id, s.Participants[id], fmin[n], fmax[n])
+			id, id, s.Participants[id], fmin[id], fmax[id])
 	}
 	for _, e := range s.Barriers.Edges() {
 		t, _ := s.Barriers.EdgeTiming(e.From, e.To)
 		fmt.Fprintf(&sb, "  b%d -> b%d [label=\"[%d,%d]\"];\n",
-			node2id[e.From], node2id[e.To], t.Min, t.Max)
+			e.From, e.To, t.Min, t.Max)
 	}
 	sb.WriteString("}\n")
 	return sb.String(), nil

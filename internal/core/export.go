@@ -97,10 +97,7 @@ func (s *Schedule) ExportJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return nil, err
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 	ids := s.BarrierIDs()
 	edges := s.Graph.RealEdges()
 
@@ -175,9 +172,8 @@ func (s *Schedule) ExportJSON() ([]byte, error) {
 			b = strconv.AppendInt(b, int64(p), 10)
 		}
 		b = closeList(b, len(parts), parts == nil, "\n      ]")
-		n := s.BarrierNode[id]
-		b = appendIntField(b, ",\n      \"fire_min\": ", fmin[n])
-		b = appendIntField(b, ",\n      \"fire_max\": ", fmax[n])
+		b = appendIntField(b, ",\n      \"fire_min\": ", fmin[id])
+		b = appendIntField(b, ",\n      \"fire_max\": ", fmax[id])
 		b = append(b, "\n    }"...)
 	}
 	b = closeList(b, len(ids), true, "\n  ]")

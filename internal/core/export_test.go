@@ -21,10 +21,7 @@ func (s *Schedule) Export() (*ExportedSchedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return nil, err
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 
 	out := &ExportedSchedule{
 		Processors: s.Opts.Processors,
@@ -71,12 +68,11 @@ func (s *Schedule) Export() (*ExportedSchedule, error) {
 		out.Timelines = append(out.Timelines, row)
 	}
 	for _, id := range s.BarrierIDs() {
-		n := s.BarrierNode[id]
 		out.Barriers = append(out.Barriers, ExportedBarrier{
 			ID:           id,
 			Participants: s.Participants[id],
-			FireMin:      fmin[n],
-			FireMax:      fmax[n],
+			FireMin:      fmin[id],
+			FireMax:      fmax[id],
 		})
 	}
 	for _, e := range s.Graph.RealEdges() {

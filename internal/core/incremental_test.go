@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"barriermimd/internal/bdag"
 )
 
 // TestIncrementalSchedulerMatchesRebuildOracle is the end-to-end
@@ -10,7 +13,8 @@ import (
 // table of synthetic workloads and option combinations, scheduling with
 // incremental patching (and selfCheck auditing every patch against a
 // from-scratch rebuild) must produce a byte-identical exported schedule to
-// scheduling with forceRebuild.
+// scheduling with forceRebuild, and both schedules' frozen barrier views
+// must match a barrier dag rebuilt from their final timelines.
 func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -42,6 +46,14 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 		{"dbm-200-p16", 200, 10, 16, DBM, Conservative, 14, 0},
 		{"sbm-200-p4", 200, 10, 4, SBM, Conservative, 27, 0},
 		{"dbm-200-p16-optimal", 200, 10, 16, DBM, Optimal, 16, 0},
+		// The extremes of the synth range the view check sweeps: one
+		// statement on two processors, 250 statements on 32.
+		{"sbm-1-p2", 1, 2, 2, SBM, Conservative, 17, 0},
+		{"dbm-1-p2-optimal", 1, 2, 2, DBM, Optimal, 18, 0},
+		{"sbm-250-p32", 250, 12, 32, SBM, Conservative, 19, 0},
+		{"sbm-150-p32-optimal", 150, 12, 32, SBM, Optimal, 23, 0},
+		{"dbm-250-p32", 250, 12, 32, DBM, Conservative, 21, 0},
+		{"dbm-250-p32-optimal", 250, 12, 32, DBM, Optimal, 22, 0},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -80,6 +92,8 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 			if !bytes.Equal(ji, jr) {
 				t.Fatalf("incremental schedule differs from rebuild oracle\nincremental:\n%s\nrebuild:\n%s", ji, jr)
 			}
+			checkViewMatchesRebuild(t, si)
+			checkViewMatchesRebuild(t, sr)
 
 			if si.Metrics.Barriers > 0 && si.Metrics.Maint.Patches == 0 {
 				t.Error("barriers were inserted but no incremental patches recorded")
@@ -88,6 +102,59 @@ func TestIncrementalSchedulerMatchesRebuildOracle(t *testing.T) {
 				t.Errorf("rebuild oracle recorded %d patches", sr.Metrics.Maint.Patches)
 			}
 		})
+	}
+}
+
+// checkViewMatchesRebuild is the differential check of a schedule's
+// frozen barrier view: fire windows, successor lists, edges and edge
+// timings must equal those of a barrier dag rebuilt from the final
+// timelines, read through the rebuild's id table, and a merged-away id
+// must have no successors.
+func checkViewMatchesRebuild(t *testing.T, s *Schedule) {
+	t.Helper()
+	bg, bnode, err := buildBarrierGraphDense(s.Procs, s.Participants, s.Graph.Time)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node2id := make([]int, bg.Len())
+	for id, n := range bnode {
+		if n >= 0 {
+			node2id[n] = id
+		}
+	}
+	wmin, wmax, err := bg.FireWindows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gmin, gmax := s.Barriers.FireWindows()
+	for id, n := range bnode {
+		if n < 0 {
+			if succs := s.Barriers.Succs(id); len(succs) != 0 {
+				t.Errorf("merged-away b%d has successors %v", id, succs)
+			}
+			continue
+		}
+		if gmin[id] != wmin[n] || gmax[id] != wmax[n] {
+			t.Errorf("b%d fires in [%d,%d], rebuild says [%d,%d]", id, gmin[id], gmax[id], wmin[n], wmax[n])
+		}
+		var want []int
+		for _, w := range bg.Succs(n) {
+			want = append(want, node2id[w])
+			wt, _ := bg.EdgeTiming(n, w)
+			if gt, ok := s.Barriers.EdgeTiming(id, node2id[w]); !ok || gt != wt {
+				t.Errorf("edge b%d->b%d timing %v (present %v), rebuild says %v", id, node2id[w], gt, ok, wt)
+			}
+		}
+		if got := s.Barriers.Succs(id); !slices.Equal(got, want) {
+			t.Errorf("b%d successors %v, rebuild says %v", id, got, want)
+		}
+	}
+	var want []bdag.Edge
+	for _, e := range bg.Edges() {
+		want = append(want, bdag.Edge{From: node2id[e.From], To: node2id[e.To]})
+	}
+	if got := s.Barriers.Edges(); !slices.Equal(got, want) {
+		t.Errorf("edges %v, rebuild says %v", got, want)
 	}
 }
 
@@ -116,6 +183,7 @@ func TestIncrementalSelfCheckRandomized(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		checkViewMatchesRebuild(t, s)
 	}
 }
 
@@ -137,37 +205,6 @@ func TestMaintPatchRateDominates(t *testing.T) {
 	t.Logf("maint: %v", m)
 	if m.KeptRows == 0 {
 		t.Error("incremental maintenance never kept a memo row")
-	}
-}
-
-// TestRegionDelta cross-checks Schedule.RegionDelta against a direct
-// timeline scan.
-func TestRegionDelta(t *testing.T) {
-	g := synthGraph(t, 40, 5, 13)
-	s, err := ScheduleDAG(g, DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, tl := range s.Procs {
-		for idx := 0; idx <= len(tl); idx++ {
-			for _, useMax := range []bool{false, true} {
-				want := 0
-				for k := idx - 1; k >= 0; k-- {
-					if tl[k].IsBarrier {
-						break
-					}
-					tm := s.Graph.Time[tl[k].Node]
-					if useMax {
-						want += tm.Max
-					} else {
-						want += tm.Min
-					}
-				}
-				if got := s.RegionDelta(p, idx, useMax); got != want {
-					t.Fatalf("RegionDelta(%d,%d,%v) = %d, want %d", p, idx, useMax, got, want)
-				}
-			}
-		}
 	}
 }
 

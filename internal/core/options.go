@@ -197,10 +197,19 @@ func DefaultOptions(n int) Options {
 	}
 }
 
+// MaxProcessors bounds Options.Processors: 32 times the paper's largest
+// machine (128). The scheduler allocates several per-processor tables, so
+// an unbounded count from a request or a flag could exhaust memory, which
+// a Go program cannot recover from.
+const MaxProcessors = 4096
+
 // Validate checks option ranges.
 func (o Options) Validate() error {
 	if o.Processors < 1 {
 		return fmt.Errorf("core: Processors = %d, need >= 1", o.Processors)
+	}
+	if o.Processors > MaxProcessors {
+		return fmt.Errorf("core: Processors = %d, need <= %d", o.Processors, MaxProcessors)
 	}
 	if o.Lookahead < 0 {
 		return fmt.Errorf("core: Lookahead = %d, need >= 0", o.Lookahead)

@@ -3,18 +3,18 @@ package core
 import (
 	"sync"
 
+	"barriermimd/internal/bdag"
 	"barriermimd/internal/dag"
 	"barriermimd/internal/metrics"
 )
 
 // schedulerPool recycles scheduler arenas across ScheduleDAG calls. A
-// schedule run grows a sizable working set — the spare barrier-graph
-// buffer with its memo freelists, per-processor prefix sums, the merge
-// snapshot arena, and the scratch buffers — all of which dies with the
-// scheduler even though none of it escapes into the returned Schedule.
-// Pooling hands that warm storage to the next run, so steady-state
-// scheduling only allocates the state the Schedule actually keeps
-// (timelines, the assignment table, the final barrier graph).
+// schedule run grows a sizable working set — both barrier graphs with
+// their memo freelists, per-processor prefix sums, the merge snapshot
+// arena, and the scratch buffers — none of which escapes into the
+// returned Schedule. Pooling hands that warm storage to the next run, so
+// steady-state scheduling only allocates the state the Schedule actually
+// keeps (timelines, the assignment table, the copied barrier tables).
 var schedulerPool sync.Pool
 
 // newScheduler returns a scheduler ready to run g under opts, reusing a
@@ -60,20 +60,21 @@ func newScheduler(g *dag.Graph, opts Options) *scheduler {
 
 // release parks the scheduler's reusable arenas back on the pool. The
 // references that escaped into the returned Schedule — the timelines,
-// the assignment table, the final barrier graph, and the stage clock's
-// backing (finish hands out a copied header) — are detached first so the
-// next run cannot touch them. The spare graph is Reset here rather than
-// lazily: that harvests its memo rows into the freelists and zeroes its
-// counters, so the next run's first rebuild starts warm and does not
-// double-count a dead generation's statistics.
+// the assignment table, and the stage clock's backing (finish hands out
+// a copied header) — are detached first so the next run cannot touch
+// them. Both graphs are Reset here rather than lazily: that harvests
+// their memo rows into the freelists and zeroes their counters, so the
+// next run's first rebuild starts warm and does not double-count a dead
+// generation's statistics.
 func (s *scheduler) release() {
-	if s.bgSpare != nil {
-		s.bgSpare.Reset(nil)
+	for _, bg := range [2]*bdag.Graph{s.bg, s.bgSpare} {
+		if bg != nil {
+			bg.Reset(nil)
+		}
 	}
 	s.g = nil
 	s.procs = nil
 	s.assign = nil
-	s.bg = nil
 	s.idom = nil
 	s.mx = Metrics{}
 	s.clock = metrics.StageClock{}

@@ -130,6 +130,9 @@ func TestQuickBarrierStructure(t *testing.T) {
 				}
 				continue
 			}
+			if parts == nil {
+				continue // merged away
+			}
 			// Every barrier spans at least two processors, all in range.
 			if len(parts) < 2 {
 				return false
@@ -140,11 +143,8 @@ func TestQuickBarrierStructure(t *testing.T) {
 				}
 			}
 		}
-		// The barrier dag is acyclic and its fire windows are ordered.
-		fmin, fmax, err := s.Barriers.FireWindows()
-		if err != nil {
-			return false
-		}
+		// The barrier dag's fire windows are ordered.
+		fmin, fmax := s.Barriers.FireWindows()
 		for n := range fmin {
 			if fmin[n] > fmax[n] {
 				return false
@@ -186,8 +186,8 @@ func TestVerifyStaticCatchesMissingBarrier(t *testing.T) {
 		}
 		// Remove the first barrier's waits and its participant entry.
 		var victim int = -1
-		for id := range s.Participants {
-			if id != InitialBarrier {
+		for id, parts := range s.Participants {
+			if id != InitialBarrier && parts != nil {
 				victim = id
 				break
 			}
@@ -202,7 +202,7 @@ func TestVerifyStaticCatchesMissingBarrier(t *testing.T) {
 			}
 			s.Procs[p] = tl
 		}
-		delete(s.Participants, victim)
+		s.Participants[victim] = nil
 		// Rebuilding the barrier dag is part of the corruption: drop the
 		// victim's node by rebuilding a graph view is complex, so only
 		// run the auditor when the victim had no dag successors issues —

@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 
-	"barriermimd/internal/bdag"
 	"barriermimd/internal/dag"
 	"barriermimd/internal/ir"
 )
@@ -46,34 +43,37 @@ type Schedule struct {
 	Procs [][]Item
 	// AssignTo maps each real DAG node to its processor.
 	AssignTo []int
-	// Participants maps each live barrier id (including InitialBarrier)
-	// to its sorted processor set.
-	Participants map[int][]int
-	// Barriers is the final barrier dag; BarrierNode maps schedule-level
-	// barrier ids to its node indices.
-	Barriers    *bdag.Graph
-	BarrierNode map[int]int
+	// Participants holds each barrier id's sorted processor set,
+	// InitialBarrier included. An id merged away by the SBM merge pass
+	// has a nil entry.
+	Participants [][]int
+	// Barriers is the final barrier dag, frozen and indexed by barrier id.
+	Barriers BarrierView
 	// Metrics summarizes the synchronization accounting.
 	Metrics Metrics
-
-	// regionOnce/regionIdx lazily hold per-processor prefix sums and
-	// barrier positions for RegionDelta.
-	regionOnce sync.Once
-	regionIdx  []procState
 }
 
 // NumBarriers returns the number of barriers inserted by the scheduler,
 // excluding the implicit initial barrier.
-func (s *Schedule) NumBarriers() int { return len(s.Participants) - 1 }
+func (s *Schedule) NumBarriers() int {
+	n := -1
+	for _, ps := range s.Participants {
+		if ps != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // BarrierIDs returns the live barrier ids in ascending order, including
 // InitialBarrier.
 func (s *Schedule) BarrierIDs() []int {
 	ids := make([]int, 0, len(s.Participants))
-	for id := range s.Participants {
-		ids = append(ids, id)
+	for id, ps := range s.Participants {
+		if ps != nil {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -81,10 +81,7 @@ func (s *Schedule) BarrierIDs() []int {
 // all-minimum and all-maximum instruction timings, derived from barrier
 // fire windows (the discrete-event simulator reproduces the same values).
 func (s *Schedule) StaticSpan() (min, max int, err error) {
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return 0, 0, err
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 	tm := s.timingOf
 	for p := range s.Procs {
 		lastBar := InitialBarrier
@@ -99,11 +96,10 @@ func (s *Schedule) StaticSpan() (min, max int, err error) {
 			dmin += t.Min
 			dmax += t.Max
 		}
-		bn := s.BarrierNode[lastBar]
-		if end := fmin[bn] + dmin; end > min {
+		if end := fmin[lastBar] + dmin; end > min {
 			min = end
 		}
-		if end := fmax[bn] + dmax; end > max {
+		if end := fmax[lastBar] + dmax; end > max {
 			max = end
 		}
 	}
@@ -115,7 +111,7 @@ func (s *Schedule) timingOf(node int) ir.Timing { return s.Graph.Time[node] }
 // CloneForGraph returns a shallow copy of the schedule with the graph
 // pointer replaced. The caller must guarantee g is identical to the
 // schedule's graph in index space (dag.Equal): the copy shares timelines,
-// assignment, barrier dag, and metrics with the original, and every node
+// assignment, barrier view, and metrics with the original, and every node
 // index in them is reinterpreted against g. The schedule cache uses this
 // to serve a hit computed on one graph object to a request carrying a
 // distinct but content-identical graph, so renderings and exports show the
@@ -128,30 +124,9 @@ func (s *Schedule) CloneForGraph(g *dag.Graph) *Schedule {
 		AssignTo:     s.AssignTo,
 		Participants: s.Participants,
 		Barriers:     s.Barriers,
-		BarrierNode:  s.BarrierNode,
 		Metrics:      s.Metrics,
 	}
 	return c
-}
-
-// RegionDelta returns the min- or max-time sum of the instructions on
-// processor p between the last barrier before timeline index idx and idx
-// itself — the δ quantity of section 4.4.1 for the item at idx. The
-// per-processor prefix sums behind it are built once, lazily, so each
-// query is O(log barriers); concurrent callers are safe.
-func (s *Schedule) RegionDelta(p, idx int, useMax bool) int {
-	s.regionOnce.Do(func() {
-		s.regionIdx = make([]procState, len(s.Procs))
-		for q := range s.Procs {
-			s.regionIdx[q] = buildProcState(s.Procs[q], s.Graph.Time)
-		}
-	})
-	st := &s.regionIdx[p]
-	start := 0
-	if k := st.lastBarAt(idx); k >= 0 {
-		start = st.barPos[k] + 1
-	}
-	return st.delta(start, idx, useMax)
 }
 
 // Validate checks structural invariants: every real node appears exactly
@@ -159,15 +134,19 @@ func (s *Schedule) RegionDelta(p, idx int, useMax bool) int {
 // program order; barrier participant sets match the timelines that wait on
 // them. It reads each timeline once.
 func (s *Schedule) Validate() error {
+	if len(s.Participants) == 0 || s.Participants[InitialBarrier] == nil {
+		return fmt.Errorf("core: schedule has no initial barrier")
+	}
 	// seen counts each node's appearances and pos holds its timeline
 	// index; waits counts each barrier id's wait items.
 	seen := make([]int, s.Graph.N)
 	pos := make([]int, s.Graph.N)
-	waits := make(map[int]int, len(s.Participants))
+	waits := make([]int, len(s.Participants))
 	for p, tl := range s.Procs {
 		for idx, it := range tl {
 			if it.IsBarrier {
-				if !slices.Contains(s.Participants[it.Barrier], p) {
+				if it.Barrier < 0 || it.Barrier >= len(s.Participants) ||
+					!slices.Contains(s.Participants[it.Barrier], p) {
 					return fmt.Errorf("core: processor %d waits on barrier %d it does not participate in", p, it.Barrier)
 				}
 				waits[it.Barrier]++
@@ -195,7 +174,7 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	for id, parts := range s.Participants {
-		if id == InitialBarrier {
+		if id == InitialBarrier || parts == nil {
 			continue
 		}
 		if waits[id] != len(parts) {

@@ -374,7 +374,7 @@ func (s *scheduler) pickByEndTime(candidates []int, rule endTimeRule) (int, erro
 }
 
 // appendNode places node n at the end of processor p's timeline. The
-// barrier dag is NOT marked dirty: buildBarrierGraph only materializes
+// barrier dag is NOT marked dirty: buildBarrierGraphDense only materializes
 // regions that end at a barrier, so an instruction appended after the
 // last barrier of a timeline is invisible to the dag (timing of trailing
 // regions is always read from the timeline via deltaRange). Keeping the
@@ -439,32 +439,6 @@ func rebuildBarrierGraphDense(arena *bdag.Graph, bbuf []int, procs [][]Item, par
 			bn := bnode[it.Barrier]
 			bg.AddRegion(prev, bn, acc)
 			prev, acc = bn, ir.Timing{}
-		}
-	}
-	return bg, bnode, nil
-}
-
-// buildBarrierGraph is buildBarrierGraphDense for a map participant table
-// (the public Schedule.Participants shape used by VerifyStatic).
-func buildBarrierGraph(procs [][]Item, parts map[int][]int, times []ir.Timing) (*bdag.Graph, map[int]int, error) {
-	maxID := 0
-	for id := range parts {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	dense := make([][]int, maxID+1)
-	for id, ps := range parts {
-		dense[id] = ps
-	}
-	bg, dn, err := buildBarrierGraphDense(procs, dense, times)
-	if err != nil {
-		return nil, nil, err
-	}
-	bnode := make(map[int]int, len(parts))
-	for id, n := range dn {
-		if n >= 0 {
-			bnode[id] = n
 		}
 	}
 	return bg, bnode, nil
@@ -561,11 +535,10 @@ func (s *scheduler) finish() (*Schedule, error) {
 		return nil, err
 	}
 	// Final-generation cache counters plus everything accumulated across
-	// rebuilds. The graph outlives the run inside the Schedule, so its
-	// own counters keep advancing as the schedule is queried; the
-	// snapshot here covers scheduling only. The spare buffer still holds
-	// the second-to-last generation's counters (they are only harvested
-	// when a rebuild reuses the buffer).
+	// rebuilds. The spare buffer still holds the second-to-last
+	// generation's counters (they are only harvested when a rebuild
+	// reuses the buffer). They are taken before freezeBarriers, whose own
+	// queries are not part of scheduling.
 	s.mx.PathCache.Add(s.bg.CacheStats())
 	s.mx.Maint.Add(s.bg.MaintStats())
 	if s.bgSpare != nil {
@@ -579,24 +552,27 @@ func (s *scheduler) finish() (*Schedule, error) {
 			s.mx.SerializedSyncs++
 		}
 	}
-	parts := make(map[int][]int, len(s.parts))
-	bnode := make(map[int]int, len(s.parts))
-	for id, ps := range s.parts {
-		if ps == nil {
-			continue
-		}
-		parts[id] = append([]int(nil), ps...)
-		bnode[id] = s.bnode[id]
+	view, err := s.freezeBarriers()
+	if err != nil {
+		return nil, err
 	}
-	s.mx.Barriers = len(parts) - 1
+	// Participant lists are copied: parts[InitialBarrier] is the pooled
+	// partsInit buffer.
+	parts := make([][]int, len(s.parts))
+	s.mx.Barriers = -1
+	for id, ps := range s.parts {
+		if ps != nil {
+			parts[id] = append([]int(nil), ps...)
+			s.mx.Barriers++
+		}
+	}
 	sched := &Schedule{
 		Graph:        s.g,
 		Opts:         s.opts,
 		Procs:        s.procs,
 		AssignTo:     s.assign,
 		Participants: parts,
-		Barriers:     s.bg,
-		BarrierNode:  bnode,
+		Barriers:     view,
 		Metrics:      s.mx,
 	}
 	if err := sched.Validate(); err != nil {

@@ -24,7 +24,7 @@ type scratch struct {
 	// scan's fire windows: the memo slices they come from belong to a
 	// graph generation that a rejected merge's rebuild may recycle
 	// mid-scan (see ensureGraph's double buffering).
-	ids      []int           // live barrier ids, ascending
+	ids      []int           // live barrier ids, ascending; freezeBarriers' node → id table
 	rejected map[[2]int]bool // rejected merge pairs, cleared per pass
 	fmin     []int
 	fmax     []int

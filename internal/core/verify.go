@@ -21,7 +21,7 @@ func (s *Schedule) VerifyStatic() error {
 	}
 	// Rebuild the barrier dag from the timelines instead of trusting the
 	// cached one, so the auditor stays independent of scheduler state.
-	barriers, barrierNode, err := buildBarrierGraph(s.Procs, s.Participants, s.Graph.Time)
+	barriers, barrierNode, err := buildBarrierGraphDense(s.Procs, s.Participants, s.Graph.Time)
 	if err != nil {
 		return err
 	}

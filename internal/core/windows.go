@@ -21,10 +21,7 @@ type NodeWindows struct {
 
 // Windows computes the static execution windows of every scheduled node.
 func (s *Schedule) Windows() (NodeWindows, error) {
-	fmin, fmax, err := s.Barriers.FireWindows()
-	if err != nil {
-		return NodeWindows{}, err
-	}
+	fmin, fmax := s.Barriers.FireWindows()
 	w := NodeWindows{
 		Start:  make([]ir.Timing, s.Graph.N),
 		Finish: make([]ir.Timing, s.Graph.N),
@@ -38,12 +35,11 @@ func (s *Schedule) Windows() (NodeWindows, error) {
 				dmin, dmax = 0, 0
 				continue
 			}
-			bn := s.BarrierNode[lastBar]
 			t := s.Graph.Time[it.Node]
-			w.Start[it.Node] = ir.Timing{Min: fmin[bn] + dmin, Max: fmax[bn] + dmax}
+			w.Start[it.Node] = ir.Timing{Min: fmin[lastBar] + dmin, Max: fmax[lastBar] + dmax}
 			dmin += t.Min
 			dmax += t.Max
-			w.Finish[it.Node] = ir.Timing{Min: fmin[bn] + dmin, Max: fmax[bn] + dmax}
+			w.Finish[it.Node] = ir.Timing{Min: fmin[lastBar] + dmin, Max: fmax[lastBar] + dmax}
 		}
 	}
 	return w, nil

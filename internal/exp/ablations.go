@@ -38,7 +38,7 @@ func Merge(cfg Config) (*MergeResult, error) {
 	meanWidth := func(s *core.Schedule) float64 {
 		total, n := 0, 0
 		for id, parts := range s.Participants {
-			if id == core.InitialBarrier {
+			if id == core.InitialBarrier || parts == nil {
 				continue
 			}
 			total += len(parts)

@@ -20,6 +20,19 @@ func schedule(t testing.TB, stmts, vars, procs int, seed int64, mk core.MachineK
 // timedSchedule is schedule under an explicit timing model.
 func timedSchedule(t testing.TB, stmts, vars, procs int, seed int64, mk core.MachineKind, tm ir.TimingModel) *core.Schedule {
 	t.Helper()
+	o := core.DefaultOptions(procs)
+	o.Machine = mk
+	o.Seed = seed
+	s, err := core.ScheduleDAG(synthDAG(t, stmts, vars, seed, tm), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// synthDAG builds the instruction dag of synthetic block seed.
+func synthDAG(t testing.TB, stmts, vars int, seed int64, tm ir.TimingModel) *dag.Graph {
+	t.Helper()
 	prog := synth.MustGenerate(synth.Config{Statements: stmts, Variables: vars}, seed)
 	naive, err := lang.Compile(prog)
 	if err != nil {
@@ -33,14 +46,7 @@ func timedSchedule(t testing.TB, stmts, vars, procs int, seed int64, mk core.Mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := core.DefaultOptions(procs)
-	o.Machine = mk
-	o.Seed = seed
-	s, err := core.ScheduleDAG(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return g
 }
 
 // compile lowers s for kind through the production Compile.
@@ -170,20 +176,11 @@ func TestSBMQueueOrderIsLinearExtension(t *testing.T) {
 	}
 	// Queue order must respect the barrier dag.
 	for _, e := range s.Barriers.Edges() {
-		var fromID, toID int
-		for id, n := range s.BarrierNode {
-			if n == e.From {
-				fromID = id
-			}
-			if n == e.To {
-				toID = id
-			}
-		}
-		if fromID == core.InitialBarrier {
+		if e.From == core.InitialBarrier {
 			continue
 		}
-		if pos[fromID] >= pos[toID] {
-			t.Errorf("queue violates dag edge b%d→b%d", fromID, toID)
+		if pos[e.From] >= pos[e.To] {
+			t.Errorf("queue violates dag edge b%d→b%d", e.From, e.To)
 		}
 	}
 }

@@ -41,23 +41,16 @@ func RunAs(s *core.Schedule, kind core.MachineKind, cfg Config) (*Result, error)
 // (ties by barrier id). The initial barrier is excluded — it conceptually
 // fires at time zero to start the block.
 func QueueOrder(s *core.Schedule) ([]int, error) {
-	fmin, _, err := s.Barriers.FireWindows()
-	if err != nil {
-		return nil, err
-	}
-	node2id := make(map[int]int, len(s.BarrierNode))
-	for id, n := range s.BarrierNode {
-		node2id[n] = id
-	}
-	g := s.Barriers
-	indeg := make([]int, g.Len())
-	for _, e := range g.Edges() {
+	fmin, _ := s.Barriers.FireWindows()
+	ids := s.BarrierIDs()
+	indeg := make([]int, len(s.Participants))
+	for _, e := range s.Barriers.Edges() {
 		indeg[e.To]++
 	}
 	var ready []int
-	for n := 0; n < g.Len(); n++ {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+	for _, id := range ids {
+		if indeg[id] == 0 {
+			ready = append(ready, id)
 		}
 	}
 	var order []int
@@ -66,21 +59,21 @@ func QueueOrder(s *core.Schedule) ([]int, error) {
 			if fmin[ready[a]] != fmin[ready[b]] {
 				return fmin[ready[a]] < fmin[ready[b]]
 			}
-			return node2id[ready[a]] < node2id[ready[b]]
+			return ready[a] < ready[b]
 		})
-		n := ready[0]
+		id := ready[0]
 		ready = ready[1:]
-		if id := node2id[n]; id != core.InitialBarrier {
+		if id != core.InitialBarrier {
 			order = append(order, id)
 		}
-		for _, sc := range g.Succs(n) {
+		for _, sc := range s.Barriers.Succs(id) {
 			indeg[sc]--
 			if indeg[sc] == 0 {
 				ready = append(ready, sc)
 			}
 		}
 	}
-	if want := g.Len() - 1; len(order) != want {
+	if want := len(ids) - 1; len(order) != want {
 		return nil, fmt.Errorf("machine: queue covers %d of %d barriers", len(order), want)
 	}
 	return order, nil
@@ -235,14 +228,7 @@ func run(s *core.Schedule, kind core.MachineKind, cfg Config) (*Result, error) {
 				}
 			}
 		default: // DBM: associative matching
-			ids := make([]int, 0, len(s.Participants))
-			for id := range s.Participants {
-				if id != core.InitialBarrier {
-					ids = append(ids, id)
-				}
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
+			for _, id := range res.barIDs[1:] { // live ids past the initial barrier
 				if res.fireTime[denseIndex(res.barIDs, id)] >= 0 {
 					continue
 				}

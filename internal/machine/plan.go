@@ -77,12 +77,13 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 		nnodes: s.Graph.N,
 	}
 
-	// Dense barrier remapping, ascending by schedule-level id.
+	// Dense barrier remapping, ascending by schedule-level id. denseOf is
+	// indexed by id; merged-away ids keep 0 but no wait or edge names them.
 	p.barIDs = s.BarrierIDs()
 	nb := len(p.barIDs)
-	denseOf := make(map[int]int, nb)
+	denseOf := make([]int32, len(s.Participants))
 	for d, id := range p.barIDs {
-		denseOf[id] = d
+		denseOf[id] = int32(d)
 	}
 
 	// Flat instruction streams.
@@ -96,7 +97,7 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 		p.procStart[pr] = int32(len(p.items))
 		for _, it := range tl {
 			if it.IsBarrier {
-				p.items = append(p.items, int32(-denseOf[it.Barrier]-1))
+				p.items = append(p.items, -denseOf[it.Barrier]-1)
 			} else {
 				p.items = append(p.items, int32(it.Node))
 			}
@@ -119,19 +120,13 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 	}
 	p.partStart[nb] = int32(len(p.parts))
 
-	// Barrier dag in dense space. Every node of the final barrier graph
-	// corresponds to one live barrier id (BarrierNode is a bijection).
-	g := s.Barriers
-	node2dense := make([]int32, g.Len())
-	for id, n := range s.BarrierNode {
-		node2dense[n] = int32(denseOf[id])
-	}
+	// Barrier dag in dense space.
 	outDeg := make([]int32, nb)
 	inDeg := make([]int32, nb)
-	edges := g.Edges()
+	edges := s.Barriers.Edges()
 	for _, e := range edges {
-		outDeg[node2dense[e.From]]++
-		inDeg[node2dense[e.To]]++
+		outDeg[denseOf[e.From]]++
+		inDeg[denseOf[e.To]]++
 	}
 	p.succStart = make([]int32, nb+1)
 	p.predStart = make([]int32, nb+1)
@@ -143,21 +138,21 @@ func Compile(s *core.Schedule, kind core.MachineKind) (*Plan, error) {
 	p.preds = make([]int32, len(edges))
 	fill := make([]int32, nb)
 	for _, e := range edges {
-		d := node2dense[e.From]
-		p.succs[p.succStart[d]+fill[d]] = node2dense[e.To]
+		d := denseOf[e.From]
+		p.succs[p.succStart[d]+fill[d]] = denseOf[e.To]
 		fill[d]++
 	}
 	for d := range fill {
 		fill[d] = 0
 	}
 	for _, e := range edges {
-		d := node2dense[e.To]
-		p.preds[p.predStart[d]+fill[d]] = node2dense[e.From]
+		d := denseOf[e.To]
+		p.preds[p.predStart[d]+fill[d]] = denseOf[e.From]
 		fill[d]++
 	}
 
 	if kind == core.SBM {
-		if err := p.buildQueue(node2dense); err != nil {
+		if err := p.buildQueue(); err != nil {
 			return nil, err
 		}
 	}
@@ -186,15 +181,12 @@ func (p *Plan) splitDurations(times []ir.Timing) {
 // time, ties by barrier id — the same selection as the reference queue
 // builder in oracle_test.go, so the resulting fire order is identical. Dense index order coincides with
 // ascending id order, which makes the tie-break a plain index comparison.
-func (p *Plan) buildQueue(node2dense []int32) error {
-	fminNode, _, err := p.sched.Barriers.FireWindows()
-	if err != nil {
-		return err
-	}
+func (p *Plan) buildQueue() error {
+	fminID, _ := p.sched.Barriers.FireWindows()
 	nb := len(p.barIDs)
 	fmin := make([]int, nb)
-	for n, d := range node2dense {
-		fmin[d] = fminNode[n]
+	for d, id := range p.barIDs {
+		fmin[d] = fminID[id]
 	}
 	indeg := make([]int32, nb)
 	for d := 0; d < nb; d++ {

@@ -49,8 +49,8 @@ type Config struct {
 	// MaxBody bounds the request body in bytes; beyond it requests are
 	// rejected with 413 (0 = DefaultMaxBody).
 	MaxBody int64
-	// Timeout is the default per-request deadline, overridable per
-	// request with deadline_ms (0 = DefaultTimeout).
+	// Timeout is the per-request deadline; a request's deadline_ms may
+	// shorten it but not extend it (0 = DefaultTimeout).
 	Timeout time.Duration
 	// CacheSize is the schedule-cache entry bound
 	// (0 = schedcache.DefaultCapacity).
@@ -161,7 +161,8 @@ const (
 type Request struct {
 	// Src is the benchmark-language program text (bmsched/bmsim input).
 	Src string `json:"src"`
-	// Procs is the machine size (default 8, like the CLIs).
+	// Procs is the machine size (default 8, like the CLIs; at most
+	// core.MaxProcessors).
 	Procs int `json:"procs,omitempty"`
 	// Machine is "sbm" (default) or "dbm".
 	Machine string `json:"machine,omitempty"`
@@ -175,7 +176,8 @@ type Request struct {
 	// Runs is the number of simulated executions for /v1/simulate
 	// (default 20, like bmsim); run r uses seed Seed+r.
 	Runs int `json:"runs,omitempty"`
-	// DeadlineMS overrides the server's default per-request deadline.
+	// DeadlineMS shortens the server's per-request deadline; a longer
+	// value is capped at it.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -260,9 +262,10 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, ep endpoint) {
 		return
 	}
 
+	// deadline_ms may shorten the server's timeout, never extend it.
 	deadline := s.cfg.Timeout
-	if req.DeadlineMS > 0 {
-		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
+	if ms := req.DeadlineMS; ms > 0 && ms < int64(deadline/time.Millisecond) {
+		deadline = time.Duration(ms) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
@@ -334,6 +337,9 @@ func (s *Server) buildRequest(req *Request, ep endpoint) (*request, error) {
 	}
 	if procs < 1 {
 		return nil, fmt.Errorf("procs = %d, need >= 1", procs)
+	}
+	if procs > core.MaxProcessors {
+		return nil, fmt.Errorf("procs = %d, need <= %d", procs, core.MaxProcessors)
 	}
 	mk, err := ParseMachine(orDefault(req.Machine, "sbm"))
 	if err != nil {

@@ -314,6 +314,9 @@ func TestRejections(t *testing.T) {
 	if got := post(`{"src":"this is not the benchmark language"}`); got != http.StatusBadRequest {
 		t.Errorf("parse error: status %d, want 400", got)
 	}
+	if got := post(`{"src":"a = b + c","procs":4097}`); got != http.StatusBadRequest {
+		t.Errorf("procs above core.MaxProcessors: status %d, want 400", got)
+	}
 	if got := post(`{"src":"` + strings.Repeat("v0 = v0 + 1; ", 200) + `"}`); got != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413", got)
 	}
@@ -387,6 +390,19 @@ func TestOverloadAndDeadline(t *testing.T) {
 	}
 	if st := s.Stats(); st.TimedOut == 0 || st.Overloaded == 0 {
 		t.Errorf("stats: TimedOut=%d Overloaded=%d, want both > 0", st.TimedOut, st.Overloaded)
+	}
+}
+
+// TestDeadlineCappedAtTimeout: deadline_ms can shorten the server's
+// Timeout but not extend it, so a one-minute deadline_ms on a server with
+// a 1-µs Timeout still times out.
+func TestDeadlineCappedAtTimeout(t *testing.T) {
+	s := serve.New(serve.Config{Timeout: time.Microsecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, body := postJSON(t, ts.URL+"/v1/schedule", serve.Request{Src: "v0 = v0 + 1;", DeadlineMS: 60000})
+	if status != http.StatusGatewayTimeout {
+		t.Errorf("status %d (%s), want 504", status, body)
 	}
 }
 
