@@ -130,11 +130,7 @@ func schedMain(fs *flag.FlagSet, opts core.Options, stdin io.Reader, stdout, std
 	switch asDot {
 	case "":
 	case "barriers":
-		dot, derr := s.BarrierDOT()
-		if derr != nil {
-			return fail(stderr, "bmsched", derr)
-		}
-		fmt.Fprint(stdout, dot)
+		fmt.Fprint(stdout, s.BarrierDOT())
 		return 0
 	default:
 		return fail(stderr, "bmsched", fmt.Errorf("unknown -dot target %q (want dag or barriers)", asDot))

@@ -9,7 +9,7 @@ import (
 // matching the paper's Figure 10 presentation: one node per barrier
 // labeled with its participants and fire window, and edges labeled with
 // the [min,max] region times of the code between barriers.
-func (s *Schedule) BarrierDOT() (string, error) {
+func (s *Schedule) BarrierDOT() string {
 	fmin, fmax := s.Barriers.FireWindows()
 	var sb strings.Builder
 	sb.WriteString("digraph barrier_dag {\n")
@@ -24,5 +24,5 @@ func (s *Schedule) BarrierDOT() (string, error) {
 			e.From, e.To, t.Min, t.Max)
 	}
 	sb.WriteString("}\n")
-	return sb.String(), nil
+	return sb.String()
 }

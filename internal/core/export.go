@@ -89,10 +89,7 @@ const (
 // ExportJSON renders the schedule as indented JSON: the ExportedSchedule
 // shape, byte-identical to json.MarshalIndent with a two-space indent.
 func (s *Schedule) ExportJSON() ([]byte, error) {
-	w, err := s.Windows()
-	if err != nil {
-		return nil, err
-	}
+	w := s.Windows()
 	spanMin, spanMax, err := s.StaticSpan()
 	if err != nil {
 		return nil, err

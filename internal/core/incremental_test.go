@@ -163,25 +163,41 @@ func checkViewMatchesRebuild(t *testing.T, s *Schedule) {
 // barrier-id map, and the per-processor timeline state against fresh
 // rebuilds, so any divergence fails the schedule.
 func TestIncrementalSelfCheckRandomized(t *testing.T) {
+	type block struct {
+		stmts, vars, procs int
+		seed               int64
+		machine            MachineKind
+		insertion          Insertion
+	}
+	var blocks []block
 	for seed := int64(0); seed < 25; seed++ {
-		stmts := 10 + int(seed%5)*12
-		procs := 2 + int(seed%4)*2
-		g := synthGraph(t, stmts, 3+int(seed%6), seed)
-		opts := DefaultOptions(procs)
-		opts.Seed = seed
-		opts.selfCheck = true
+		b := block{10 + int(seed%5)*12, 3 + int(seed%6), 2 + int(seed%4)*2, seed, SBM, Conservative}
 		if seed%2 == 0 {
-			opts.Machine = DBM
+			b.machine = DBM
 		}
 		if seed%3 == 0 {
-			opts.Insertion = Optimal
+			b.insertion = Optimal
 		}
+		blocks = append(blocks, b)
+	}
+	// A placement rolled back here leaves the barrier dag dirty; the next
+	// attempt must rebuild it before registering its own barrier id, or
+	// the rebuild adds that unplaced id as an isolated node.
+	blocks = append(blocks, block{250, 12, 32, 12, SBM, Conservative})
+
+	for _, b := range blocks {
+		g := synthGraph(t, b.stmts, b.vars, b.seed)
+		opts := DefaultOptions(b.procs)
+		opts.Seed = b.seed
+		opts.Machine = b.machine
+		opts.Insertion = b.insertion
+		opts.selfCheck = true
 		s, err := ScheduleDAG(g, opts)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%+v: %v", b, err)
 		}
 		if err := s.Validate(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%+v: %v", b, err)
 		}
 		checkViewMatchesRebuild(t, s)
 	}

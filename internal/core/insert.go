@@ -355,6 +355,11 @@ func (s *scheduler) insertBarrierDepth(g, i int, pt pairTiming, depth int) error
 	}
 
 	try := func(pos int) (bool, error) {
+		// Rebuild a graph left dirty by a rollback before registering
+		// the new id, or the rebuild would add it as an isolated node.
+		if err := s.ensureGraph(); err != nil {
+			return false, err
+		}
 		ci := s.nodeIdx[i]
 		id := s.nextBar
 		s.nextBar++
@@ -431,6 +436,9 @@ func (s *scheduler) insertBarrierDepth(g, i int, pt pairTiming, depth int) error
 // findInvertedPendingUnder tentatively applies the safe placement for
 // (g, i) and returns a pending pair it would invert.
 func (s *scheduler) findInvertedPendingUnder(g, i, pos int) (pairRec, bool, error) {
+	if err := s.ensureGraph(); err != nil { // as in insertBarrierDepth's try
+		return pairRec{}, false, err
+	}
 	P, C := s.assign[g], s.assign[i]
 	ci := s.nodeIdx[i]
 	id := s.nextBar

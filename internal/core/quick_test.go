@@ -83,10 +83,7 @@ func TestQuickWindowsConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w, err := s.Windows()
-		if err != nil {
-			return false
-		}
+		w := s.Windows()
 		spanMin, spanMax, err := s.StaticSpan()
 		if err != nil {
 			return false

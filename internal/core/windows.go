@@ -20,7 +20,7 @@ type NodeWindows struct {
 }
 
 // Windows computes the static execution windows of every scheduled node.
-func (s *Schedule) Windows() (NodeWindows, error) {
+func (s *Schedule) Windows() NodeWindows {
 	fmin, fmax := s.Barriers.FireWindows()
 	w := NodeWindows{
 		Start:  make([]ir.Timing, s.Graph.N),
@@ -42,5 +42,5 @@ func (s *Schedule) Windows() (NodeWindows, error) {
 			w.Finish[it.Node] = ir.Timing{Min: fmin[lastBar] + dmin, Max: fmax[lastBar] + dmax}
 		}
 	}
-	return w, nil
+	return w
 }

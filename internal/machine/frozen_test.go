@@ -38,15 +38,8 @@ func readAll(s *core.Schedule) (string, error) {
 		return "", err
 	}
 	sb.Write(j)
-	dot, err := s.BarrierDOT()
-	if err != nil {
-		return "", err
-	}
-	sb.WriteString(dot)
-	w, err := s.Windows()
-	if err != nil {
-		return "", err
-	}
+	sb.WriteString(s.BarrierDOT())
+	w := s.Windows()
 	mn, mx, err := s.StaticSpan()
 	if err != nil {
 		return "", err

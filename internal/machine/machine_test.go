@@ -351,10 +351,7 @@ func TestSimulatedTimesWithinStaticWindows(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, mk := range []core.MachineKind{core.SBM, core.DBM} {
 			s := schedule(t, 50, 10, 6, seed, mk)
-			w, err := s.Windows()
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := s.Windows()
 			plan := compile(t, s, mk)
 			for trial := int64(0); trial < 15; trial++ {
 				r, err := plan.Run(Config{Policy: RandomTimes, Seed: trial})
@@ -380,10 +377,7 @@ func TestWindowsExtremesAreTight(t *testing.T) {
 	// All-min and all-max executions must achieve the window endpoints
 	// exactly for SBM (the static analysis is tight, not just sound).
 	s := schedule(t, 40, 10, 8, 9, core.SBM)
-	w, err := s.Windows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := s.Windows()
 	plan := compile(t, s, core.SBM)
 	rmin, err := plan.Run(Config{Policy: MinTimes})
 	if err != nil {

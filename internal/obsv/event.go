@@ -60,9 +60,10 @@ const (
 
 	// Schedule-cache events (internal/schedcache). Tick is 0: cache
 	// traffic happens between scheduling runs, outside both logical
-	// clocks. Arg0/Arg1 carry the high/low words of the request's
-	// 128-bit DAG fingerprint (an index-order content hash, bit-cast to
-	// int64), which is a pure function of the graph's content and
+	// clocks. Arg0/Arg1 carry the high/low words of the key's 128-bit
+	// fingerprint, bit-cast to int64: for a DAG key the graph's
+	// index-order content hash, for a source key (bmserve) the hash of
+	// the program text. Either is a pure function of its input and
 	// therefore deterministic;
 	// which kind fires for a given request depends on the process's cache
 	// state and concurrency, so cached trace streams are deterministic
@@ -70,7 +71,8 @@ const (
 
 	// KindSchedCacheHit: a ScheduleDAG request was served from the cache
 	// without scheduling. Arg0/Arg1=fingerprint, Arg2=1 if the cached
-	// schedule was rebound onto a distinct (but identical) graph object.
+	// schedule was rebound onto a distinct (but identical) graph object
+	// (always 0 for a source key).
 	KindSchedCacheHit
 	// KindSchedCacheMiss: the request scheduled its DAG and stored the
 	// result. Arg0/Arg1=fingerprint.

@@ -41,6 +41,29 @@ func FingerprintOf(g *dag.Graph) Fingerprint {
 	return Fingerprint{Hi: h1, Lo: h2}
 }
 
+// TextFingerprint returns the 128-bit hash a source key carries in FP:
+// one pass over the text, eight bytes at a time in little-endian order,
+// into the same two splitmix lanes as FingerprintOf. It depends on the
+// bytes alone, so equal text gives an equal fingerprint in every process.
+// A source key confirms a match by comparing the text itself; the
+// fingerprint only picks the shard and labels trace events.
+func TextFingerprint(src string) Fingerprint {
+	n := uint64(len(src))
+	h1 := mix64(n ^ 0x5A5A5A5A5A5A5A5A)
+	h2 := mix64(n ^ 0x3C3C3C3C3C3C3C3C)
+	for ; len(src) >= 8; src = src[8:] {
+		v := uint64(src[0]) | uint64(src[1])<<8 | uint64(src[2])<<16 | uint64(src[3])<<24 |
+			uint64(src[4])<<32 | uint64(src[5])<<40 | uint64(src[6])<<48 | uint64(src[7])<<56
+		h1 = combine(h1, v)
+		h2 = combine(h2, v^0xC3C3C3C3C3C3C3C3)
+	}
+	var v uint64
+	for i := 0; i < len(src); i++ {
+		v |= uint64(src[i]) << (8 * i)
+	}
+	return Fingerprint{Hi: combine(h1, v), Lo: combine(h2, v^0xC3C3C3C3C3C3C3C3)}
+}
+
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler with good
 // avalanche behavior, used both to combine label material and to finalize
 // hashes.

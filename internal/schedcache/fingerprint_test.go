@@ -121,3 +121,42 @@ func TestFingerprintSeparatesSynthCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestTextFingerprintIsStable pins TextFingerprint to fixed values, so a
+// source key's trace arguments mean the same text in every process and on
+// every architecture.
+func TestTextFingerprintIsStable(t *testing.T) {
+	for _, tc := range []struct {
+		src    string
+		hi, lo uint64
+	}{
+		{"c = a + b\nd = c * c\n", 0x2aca638f8780ecca, 0x587e5d195b49ccc},
+		{"x", 0xf6eba8b9cc9a8f10, 0xe347a98cf089def},
+	} {
+		if got := schedcache.TextFingerprint(tc.src); got != (schedcache.Fingerprint{Hi: tc.hi, Lo: tc.lo}) {
+			t.Errorf("TextFingerprint(%q) = %#x, want {%#x %#x}", tc.src, got, tc.hi, tc.lo)
+		}
+	}
+}
+
+// TestTextFingerprintSeparatesTexts: every prefix of a text, and a copy
+// with one byte changed at each position, hashes apart from the rest.
+func TestTextFingerprintSeparatesTexts(t *testing.T) {
+	const src = "c = a + b\nd = c * c\ne = d - a\n"
+	seen := make(map[schedcache.Fingerprint]string)
+	add := func(s string) {
+		f := schedcache.TextFingerprint(s)
+		if prev, dup := seen[f]; dup {
+			t.Fatalf("%q and %q collided on %x", prev, s, f)
+		}
+		seen[f] = s
+	}
+	for n := 0; n <= len(src); n++ {
+		add(src[:n])
+	}
+	for i := range src {
+		b := []byte(src)
+		b[i] ^= 0x20
+		add(string(b))
+	}
+}

@@ -2,6 +2,7 @@ package schedcache
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -21,12 +22,19 @@ const DefaultCapacity = 1024
 // per-cache footprint.
 const numShards = 16
 
-// Key is the full decision-relevant identity of a scheduling run: the
-// DAG's content fingerprint plus every Options field that can change
-// ScheduleDAG's output. Parallelism, Recorder, and Cache are
-// deliberately excluded — schedules are byte-identical across all their
-// values.
+// Key is the full decision-relevant identity of a scheduling run: what
+// is scheduled plus every Options field that can change ScheduleDAG's
+// output. Parallelism, Recorder, and Cache are deliberately excluded —
+// schedules are byte-identical across all their values.
+//
+// What is scheduled comes in two kinds. A DAG key (KeyFor, the
+// Options.Cache path) leaves Src empty and carries the graph's content
+// fingerprint in FP. A source key (Source, the bmserve path) carries the
+// program text in Src and its TextFingerprint in FP. Map equality
+// compares Src byte for byte, so a source key matches only its own text,
+// and since Source refuses empty text the two kinds never meet.
 type Key struct {
+	Src        string
 	FP         Fingerprint
 	Processors int
 	Machine    core.MachineKind
@@ -42,14 +50,20 @@ type Key struct {
 // Options.PathLimit == 0, so explicit 64 and implicit 64 share an entry.
 const defaultPathLimit = 64
 
-// KeyFor builds the cache key for (g, opts).
+// KeyFor builds the DAG key for (g, opts).
 func KeyFor(g *dag.Graph, opts core.Options) Key {
+	return optionsKey("", FingerprintOf(g), opts)
+}
+
+// optionsKey fills in the option fields of a key for src and fp.
+func optionsKey(src string, fp Fingerprint, opts core.Options) Key {
 	pl := opts.PathLimit
 	if pl <= 0 {
 		pl = defaultPathLimit
 	}
 	return Key{
-		FP:         FingerprintOf(g),
+		Src:        src,
+		FP:         fp,
 		Processors: opts.Processors,
 		Machine:    opts.Machine,
 		Insertion:  opts.Insertion,
@@ -61,10 +75,10 @@ func KeyFor(g *dag.Graph, opts core.Options) Key {
 	}
 }
 
-// entry is one cached scheduling result. The schedule and its graph are
-// immutable once published; the machine plan is attached lazily on first
+// Entry is one cached scheduling result. The schedule and its graph are
+// immutable once published; the machine plan is compiled on the first
 // Plan call and shared from then on.
-type entry struct {
+type Entry struct {
 	key   Key
 	sched *core.Schedule
 
@@ -75,19 +89,33 @@ type entry struct {
 	elem *list.Element // position in the owning shard's LRU list
 }
 
+// Schedule returns the entry's schedule. Every caller that finds the
+// entry shares it, so it must not be modified.
+func (e *Entry) Schedule() *core.Schedule { return e.sched }
+
+// Plan returns the entry's compiled machine plan. It is compiled at most
+// once per entry and shared by every caller.
+func (e *Entry) Plan() (*machine.Plan, error) {
+	e.planOnce.Do(func() {
+		e.plan, e.planErr = machine.Compile(e.sched, e.key.Machine)
+	})
+	return e.plan, e.planErr
+}
+
 // flight tracks one in-progress computation for singleflight: losers of
 // the insert race block on done and read the winner's result.
 type flight struct {
 	done chan struct{}
-	ent  *entry // nil when the computation errored
+	ent  *Entry // nil when the computation errored
+	err  error  // the winner's error
 }
 
 // shard is one lock domain: a key-indexed map plus an LRU list whose
 // front is the most recently used entry.
 type shard struct {
 	mu       sync.Mutex
-	entries  map[Key]*entry
-	lru      *list.List // of *entry
+	entries  map[Key]*Entry
+	lru      *list.List // of *Entry
 	inflight map[Key]*flight
 }
 
@@ -99,10 +127,11 @@ type shard struct {
 // (counted as Waits) rather than scheduling redundantly.
 //
 // Correctness: a 128-bit hash match is not a proof of equality, so every
-// fingerprint match is verified with dag.Equal before being served; a
-// match that fails verification (a hash collision) is counted Rejected
-// and the request is scheduled fresh, uncached. Served hits are
-// byte-identical to a fresh ScheduleDAG run by construction.
+// DAG-key match is verified with dag.Equal before being served; a match
+// that fails verification (a hash collision) is counted Rejected and the
+// request is scheduled fresh, uncached. A source key holds its text, so
+// its map match is already exact and is never rejected. Served hits are
+// byte-identical to a fresh run by construction.
 type Cache struct {
 	capacity int
 	shards   [numShards]shard
@@ -128,7 +157,7 @@ func New(capacity int) *Cache {
 	}
 	c := &Cache{capacity: capacity}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*entry)
+		c.shards[i].entries = make(map[Key]*Entry)
 		c.shards[i].lru = list.New()
 		c.shards[i].inflight = make(map[Key]*flight)
 	}
@@ -185,12 +214,7 @@ func (c *Cache) Schedule(g *dag.Graph, opts core.Options) (*core.Schedule, error
 	}
 	if fl, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
-		c.waits.Add(1)
-		global.waits.Add(1)
-		if rec != nil {
-			rec.Record(obsv.Event{Kind: obsv.KindSchedCacheWait,
-				Arg0: int64(key.FP.Hi), Arg1: int64(key.FP.Lo)})
-		}
+		c.wait(key, rec)
 		<-fl.done
 		if fl.ent == nil {
 			// The winner errored. ScheduleDAG errors depend on the options
@@ -211,15 +235,81 @@ func (c *Cache) Schedule(g *dag.Graph, opts core.Options) (*core.Schedule, error
 
 	c.miss(key, rec)
 	sched, err := core.ScheduleDAG(g, scrubOpts(opts))
-	ent, evicted := c.store(sh, key, fl, sched, err)
+	ent := c.store(sh, key, fl, sched, err, rec)
 	if err != nil {
 		return nil, err
 	}
-	if evicted != nil && rec != nil {
-		rec.Record(obsv.Event{Kind: obsv.KindSchedCacheEvict,
-			Arg0: int64(evicted.key.FP.Hi), Arg1: int64(evicted.key.FP.Lo)})
-	}
 	return ent.sched, nil
+}
+
+// CompileError is the error Source returns when the program text does
+// not compile. Its text is the compile function's own; it lets a caller
+// tell a bad program from a scheduling failure.
+type CompileError struct{ Err error }
+
+func (e *CompileError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the compile function's error.
+func (e *CompileError) Unwrap() error { return e.Err }
+
+// errEmptySource refuses the one text a source key cannot hold: an empty
+// Src marks a DAG key.
+var errEmptySource = &CompileError{errors.New("schedcache: empty program text")}
+
+// Source returns the entry for program text src scheduled under opts. On
+// a miss it builds the graph with compile and schedules it with
+// core.ScheduleDAG, both once under the key's singleflight; neither run
+// is traced, and an error from either is returned but not stored.
+// Compile errors, and an empty src, come back as *CompileError.
+//
+// Equal text compiles to an equal graph, so the entry's schedule is
+// byte-identical to a fresh run on src, and a hit needs no verification.
+// A waiter whose winner failed takes the winner's error: it asked for the
+// same text under the same options. Two different texts with equal
+// graphs get separate entries.
+//
+// rec, when non-nil, receives this lookup's sched-cache-{hit,miss,wait,
+// evict} event, with the text's fingerprint as the arguments.
+// opts.Recorder and opts.Cache are ignored.
+func (c *Cache) Source(src string, opts core.Options, compile func(string) (*dag.Graph, error), rec obsv.Recorder) (*Entry, error) {
+	if src == "" {
+		return nil, errEmptySource
+	}
+	key := optionsKey(src, TextFingerprint(src), opts)
+	sh := c.shardFor(key)
+
+	sh.mu.Lock()
+	if ent, ok := sh.entries[key]; ok {
+		sh.lru.MoveToFront(ent.elem)
+		sh.mu.Unlock()
+		c.hits.Add(1)
+		global.hits.Add(1)
+		if rec != nil {
+			rec.Record(obsv.Event{Kind: obsv.KindSchedCacheHit,
+				Arg0: int64(key.FP.Hi), Arg1: int64(key.FP.Lo)})
+		}
+		return ent, nil
+	}
+	if fl, ok := sh.inflight[key]; ok {
+		sh.mu.Unlock()
+		c.wait(key, rec)
+		<-fl.done
+		return fl.ent, fl.err
+	}
+	fl := &flight{done: make(chan struct{})}
+	sh.inflight[key] = fl
+	sh.mu.Unlock()
+
+	c.miss(key, rec)
+	var sched *core.Schedule
+	g, err := compile(src)
+	if err != nil {
+		err = &CompileError{err}
+	} else {
+		opts.Recorder, opts.Cache = nil, nil
+		sched, err = core.ScheduleDAG(g, opts)
+	}
+	return c.store(sh, key, fl, sched, err, rec), err
 }
 
 // miss records a miss in the counters and trace.
@@ -228,6 +318,16 @@ func (c *Cache) miss(key Key, rec obsv.Recorder) {
 	global.misses.Add(1)
 	if rec != nil {
 		rec.Record(obsv.Event{Kind: obsv.KindSchedCacheMiss,
+			Arg0: int64(key.FP.Hi), Arg1: int64(key.FP.Lo)})
+	}
+}
+
+// wait records a singleflight wait in the counters and trace.
+func (c *Cache) wait(key Key, rec obsv.Recorder) {
+	c.waits.Add(1)
+	global.waits.Add(1)
+	if rec != nil {
+		rec.Record(obsv.Event{Kind: obsv.KindSchedCacheWait,
 			Arg0: int64(key.FP.Hi), Arg1: int64(key.FP.Lo)})
 	}
 }
@@ -244,44 +344,50 @@ func (c *Cache) reject(key Key, rec obsv.Recorder) {
 	}
 }
 
-// store publishes a computed result, resolves the key's flight, and
-// applies LRU eviction. It returns the stored entry and the evicted one,
-// if any. Only the key's flight owner calls store, and the key stays in
-// inflight until store removes it, so no entry for the key is resident.
-func (c *Cache) store(sh *shard, key Key, fl *flight, sched *core.Schedule, err error) (*entry, *entry) {
-	var evicted *entry
+// store publishes a computed result, resolves the key's flight, applies
+// LRU eviction, and records any eviction to rec. It returns the stored
+// entry, or nil when err is set (an error is handed to the flight's
+// waiters but not stored). Only the key's flight owner calls store, and
+// the key stays in inflight until store removes it, so no entry for the
+// key is resident.
+func (c *Cache) store(sh *shard, key Key, fl *flight, sched *core.Schedule, err error, rec obsv.Recorder) *Entry {
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if err != nil {
+		fl.err = err
 		sh.mu.Unlock()
 		close(fl.done)
-		return nil, nil
+		return nil
 	}
 	// Scrub references the cached (long-lived, shared) schedule must not
 	// retain or expose: the recorder belongs to the computing caller.
 	sched.Opts.Recorder = nil
 	sched.Opts.Cache = nil
-	ent := &entry{key: key, sched: sched}
+	ent := &Entry{key: key, sched: sched}
 	sh.entries[key] = ent
 	ent.elem = sh.lru.PushFront(ent)
+	var evicted *Entry
 	if sh.lru.Len() > c.shardCap() {
 		back := sh.lru.Back()
-		victim := back.Value.(*entry)
+		evicted = back.Value.(*Entry)
 		sh.lru.Remove(back)
-		delete(sh.entries, victim.key)
-		evicted = victim
+		delete(sh.entries, evicted.key)
 		c.evictions.Add(1)
 		global.evictions.Add(1)
 	}
 	fl.ent = ent
 	sh.mu.Unlock()
 	close(fl.done)
-	return ent, evicted
+	if evicted != nil && rec != nil {
+		rec.Record(obsv.Event{Kind: obsv.KindSchedCacheEvict,
+			Arg0: int64(evicted.key.FP.Hi), Arg1: int64(evicted.key.FP.Lo)})
+	}
+	return ent
 }
 
 // serveHit returns the cached schedule for g, rebinding it when g is a
 // distinct graph object, and emits the hit event.
-func serveHit(ent *entry, g *dag.Graph, rec obsv.Recorder) (*core.Schedule, error) {
+func serveHit(ent *Entry, g *dag.Graph, rec obsv.Recorder) (*core.Schedule, error) {
 	rebound := int64(0)
 	sched := ent.sched
 	if sched.Graph != g {
@@ -302,26 +408,6 @@ func serveHit(ent *entry, g *dag.Graph, rec obsv.Recorder) (*core.Schedule, erro
 func scrubOpts(opts core.Options) core.Options {
 	opts.Cache = nil
 	return opts
-}
-
-// Plan returns the compiled machine plan of sched, a schedule this cache
-// returned for (g, opts). The plan is built at most once per cache entry
-// and shared by every subsequent caller; a schedule whose entry is gone
-// or was never stored (errors, rejected fingerprint matches) gets a
-// private plan. Plan is not a schedule lookup: it counts no hit or miss.
-func (c *Cache) Plan(g *dag.Graph, opts core.Options, sched *core.Schedule) (*machine.Plan, error) {
-	key := KeyFor(g, opts)
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	ent, ok := sh.entries[key]
-	sh.mu.Unlock()
-	if !ok || !dag.Equal(ent.sched.Graph, g) {
-		return machine.Compile(sched, opts.Machine)
-	}
-	ent.planOnce.Do(func() {
-		ent.plan, ent.planErr = machine.Compile(ent.sched, opts.Machine)
-	})
-	return ent.plan, ent.planErr
 }
 
 // Stats snapshots this cache's traffic counters.

@@ -2,8 +2,11 @@ package schedcache_test
 
 import (
 	"bytes"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"barriermimd/internal/cfg"
 	"barriermimd/internal/core"
@@ -12,7 +15,9 @@ import (
 	"barriermimd/internal/lang"
 	"barriermimd/internal/machine"
 	"barriermimd/internal/obsv"
+	"barriermimd/internal/opt"
 	"barriermimd/internal/schedcache"
+	"barriermimd/internal/synth"
 )
 
 func exportJSON(t *testing.T, s *core.Schedule) []byte {
@@ -22,6 +27,38 @@ func exportJSON(t *testing.T, s *core.Schedule) []byte {
 		t.Fatal(err)
 	}
 	return j
+}
+
+// compileSrc is the compile function the source-lookup tests pass: the
+// CLI front end (parse, compile, optimize, build with the paper's
+// timings), returning its errors.
+func compileSrc(src string) (*dag.Graph, error) {
+	prog, err := lang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	naive, err := lang.Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	optimized, _, err := opt.Optimize(naive)
+	if err != nil {
+		return nil, err
+	}
+	return dag.Build(optimized, ir.DefaultTimings())
+}
+
+// countingCompile is compileSrc with a call counter.
+type countingCompile struct{ calls atomic.Int64 }
+
+func (c *countingCompile) compile(src string) (*dag.Graph, error) {
+	c.calls.Add(1)
+	return compileSrc(src)
+}
+
+// synthSource is the text of the synthetic program synthGraph builds.
+func synthSource(stmts, vars int, seed int64) string {
+	return synth.MustGenerate(synth.Config{Statements: stmts, Variables: vars}, seed).String()
 }
 
 // TestCacheHitsAreByteIdenticalToFreshRuns is the cache identity oracle:
@@ -84,20 +121,44 @@ func TestCacheHitsAreByteIdenticalToFreshRuns(t *testing.T) {
 			if st.Misses != 1 || st.Hits != 1 || st.Rejected != 0 {
 				t.Fatalf("stats = %v, want 1 miss + 1 hit", st)
 			}
+
+			// The source key serves the same bytes for the program text.
+			src := synthSource(tc.stmts, 5, tc.seed)
+			for _, path := range []string{"miss", "hit"} {
+				ent, err := c.Source(src, opts, compileSrc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := exportJSON(t, ent.Schedule()); !bytes.Equal(got, want) {
+					t.Fatalf("source %s-path schedule differs from fresh run\ncached:\n%s\nfresh:\n%s", path, got, want)
+				}
+			}
+			if st := c.Stats(); st.Misses != 2 || st.Hits != 2 || st.Rejected != 0 {
+				t.Fatalf("stats = %v, want 2 misses + 2 hits", st)
+			}
 		})
 	}
 }
 
 // TestCacheKeySeparatesOptions: changing any decision-relevant option must
-// miss; changing only decision-irrelevant options must hit.
+// miss and store a separate entry; changing only decision-irrelevant
+// options must hit. Both key kinds, the DAG key and the source key, hold.
 func TestCacheKeySeparatesOptions(t *testing.T) {
 	g := synthGraph(t, 30, 5, 7)
-	base := core.DefaultOptions(4)
-	c := schedcache.New(0)
-	if _, err := c.Schedule(g, base); err != nil {
-		t.Fatal(err)
+	src := synthSource(30, 5, 7)
+	lookups := []struct {
+		name   string
+		lookup func(*schedcache.Cache, core.Options) error
+	}{
+		{"dag", func(c *schedcache.Cache, o core.Options) error {
+			_, err := c.Schedule(g, o)
+			return err
+		}},
+		{"source", func(c *schedcache.Cache, o core.Options) error {
+			_, err := c.Source(src, o, compileSrc, nil)
+			return err
+		}},
 	}
-
 	relevant := []func(*core.Options){
 		func(o *core.Options) { o.Processors = 8 },
 		func(o *core.Options) { o.Machine = core.DBM },
@@ -108,32 +169,43 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 		func(o *core.Options) { o.Seed = 42 },
 		func(o *core.Options) { o.Insertion = core.Optimal; o.PathLimit = 2 },
 	}
-	for i, mut := range relevant {
-		opts := base
-		mut(&opts)
-		before := c.Stats().Misses
-		if _, err := c.Schedule(g, opts); err != nil {
-			t.Fatal(err)
-		}
-		if c.Stats().Misses != before+1 {
-			t.Fatalf("mutation %d did not miss", i)
-		}
-	}
-
 	irrelevant := []func(*core.Options){
 		func(o *core.Options) { o.Parallelism = 7 },
 		func(o *core.Options) { o.PathLimit = 64 }, // == implicit default
 	}
-	for i, mut := range irrelevant {
-		opts := base
-		mut(&opts)
-		before := c.Stats().Hits
-		if _, err := c.Schedule(g, opts); err != nil {
-			t.Fatal(err)
-		}
-		if c.Stats().Hits != before+1 {
-			t.Fatalf("irrelevant mutation %d did not hit", i)
-		}
+	for _, lk := range lookups {
+		t.Run(lk.name, func(t *testing.T) {
+			base := core.DefaultOptions(4)
+			c := schedcache.New(0)
+			if err := lk.lookup(c, base); err != nil {
+				t.Fatal(err)
+			}
+			for i, mut := range relevant {
+				opts := base
+				mut(&opts)
+				before := c.Stats().Misses
+				if err := lk.lookup(c, opts); err != nil {
+					t.Fatal(err)
+				}
+				if c.Stats().Misses != before+1 {
+					t.Fatalf("mutation %d did not miss", i)
+				}
+				if n := c.Len(); n != i+2 {
+					t.Fatalf("mutation %d: %d resident entries, want %d", i, n, i+2)
+				}
+			}
+			for i, mut := range irrelevant {
+				opts := base
+				mut(&opts)
+				before := c.Stats().Hits
+				if err := lk.lookup(c, opts); err != nil {
+					t.Fatal(err)
+				}
+				if c.Stats().Hits != before+1 {
+					t.Fatalf("irrelevant mutation %d did not hit", i)
+				}
+			}
+		})
 	}
 }
 
@@ -219,45 +291,61 @@ func TestCacheRejectsIsomorphCollisions(t *testing.T) {
 }
 
 // TestCacheSingleflight: concurrent requests for one novel key must compute
-// it exactly once; everyone else hits or waits.
+// it exactly once; everyone else hits or waits and gets the same result.
+// The source key also compiles the text only once.
 func TestCacheSingleflight(t *testing.T) {
 	g := synthGraph(t, 60, 6, 13)
+	src := synthSource(60, 6, 13)
 	opts := core.DefaultOptions(8)
 	opts.Insertion = core.Optimal
-	c := schedcache.New(0)
-
-	const workers = 16
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	scheds := make([]*core.Schedule, workers)
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			s, err := c.Schedule(g, opts)
-			if err != nil {
-				t.Error(err)
-				return
+	var cc countingCompile
+	lookups := []struct {
+		name   string
+		lookup func(*schedcache.Cache) (any, error)
+	}{
+		{"dag", func(c *schedcache.Cache) (any, error) { return c.Schedule(g, opts) }},
+		{"source", func(c *schedcache.Cache) (any, error) { return c.Source(src, opts, cc.compile, nil) }},
+	}
+	for _, lk := range lookups {
+		t.Run(lk.name, func(t *testing.T) {
+			c := schedcache.New(0)
+			const workers = 16
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			results := make([]any, workers)
+			for i := 0; i < workers; i++ {
+				i := i
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					r, err := lk.lookup(c)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[i] = r
+				}()
 			}
-			scheds[i] = s
-		}()
-	}
-	close(start)
-	wg.Wait()
+			close(start)
+			wg.Wait()
 
-	st := c.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("stats = %v, want exactly 1 miss (singleflight)", st)
+			st := c.Stats()
+			if st.Misses != 1 {
+				t.Fatalf("stats = %v, want exactly 1 miss (singleflight)", st)
+			}
+			if st.Hits+st.Waits != workers-1 {
+				t.Fatalf("stats = %v, want hits+waits = %d", st, workers-1)
+			}
+			for i := 1; i < workers; i++ {
+				if results[i] != results[0] {
+					t.Fatal("one key must yield one shared result")
+				}
+			}
+		})
 	}
-	if st.Hits+st.Waits != workers-1 {
-		t.Fatalf("stats = %v, want hits+waits = %d", st, workers-1)
-	}
-	for i := 1; i < workers; i++ {
-		if scheds[i] != scheds[0] {
-			t.Fatal("same graph object must yield the shared schedule")
-		}
+	if n := cc.calls.Load(); n != 1 {
+		t.Fatalf("compile ran %d times, want 1", n)
 	}
 }
 
@@ -310,21 +398,38 @@ func TestCacheEvictionUnderConcurrentLoad(t *testing.T) {
 }
 
 // TestCacheWarmHitDoesNotAllocate pins the 0-alloc hot path: a warm hit
-// with a pointer-identical graph performs no allocations.
+// performs no allocations, both with a pointer-identical graph and with a
+// resident program text.
 func TestCacheWarmHitDoesNotAllocate(t *testing.T) {
 	g := synthGraph(t, 40, 5, 17)
+	src := synthSource(40, 5, 17)
 	opts := core.DefaultOptions(8)
 	c := schedcache.New(0)
-	if _, err := c.Schedule(g, opts); err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name   string
+		lookup func() error
+	}{
+		{"dag", func() error {
+			_, err := c.Schedule(g, opts)
+			return err
+		}},
+		{"source", func() error {
+			_, err := c.Source(src, opts, compileSrc, nil)
+			return err
+		}},
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.Schedule(g, opts); err != nil {
+	for _, row := range rows {
+		if err := row.lookup(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm pointer-identical hit allocates %.1f times per op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := row.lookup(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: warm hit allocates %.1f times per op, want 0", row.name, allocs)
+		}
 	}
 }
 
@@ -355,35 +460,146 @@ func TestScheduleDAGDelegatesToCache(t *testing.T) {
 	}
 }
 
-// TestSchedulePlanSharesCompiledPlan: the lazily attached machine plan is
-// compiled once per entry and shared.
+// TestSchedulePlanSharesCompiledPlan: an entry's machine plan is compiled
+// once and shared by every lookup that finds the entry, and fetching it
+// counts no lookup.
 func TestSchedulePlanSharesCompiledPlan(t *testing.T) {
-	g := synthGraph(t, 30, 5, 23)
+	src := synthSource(30, 5, 23)
 	opts := core.DefaultOptions(4)
 	c := schedcache.New(0)
 
-	schedulePlan := func() (*core.Schedule, *machine.Plan) {
-		s, err := c.Schedule(g, opts)
+	entryPlan := func() (*schedcache.Entry, *machine.Plan) {
+		e, err := c.Source(src, opts, compileSrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.Plan(g, opts, s)
+		p, err := e.Plan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, p
+		return e, p
 	}
-	s1, p1 := schedulePlan()
-	s2, p2 := schedulePlan()
-	if s1 != s2 || p1 != p2 {
+	e1, p1 := entryPlan()
+	e2, p2 := entryPlan()
+	if e1 != e2 || p1 != p2 {
 		t.Fatal("plan not shared across lookups")
 	}
 	if p1 == nil {
 		t.Fatal("nil plan")
 	}
-	// Plan hands out the shared plan without counting a lookup.
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %v, want 1 miss + 1 hit", st)
+	}
+}
+
+// TestSourceErrorsAreNotStored: a compile error comes back as a
+// *CompileError carrying the compile function's text, a scheduling error
+// comes back as itself, and neither leaves an entry, so the next lookup
+// computes again. An empty text is refused before any lookup.
+func TestSourceErrorsAreNotStored(t *testing.T) {
+	c := schedcache.New(0)
+	var cc countingCompile
+	const bad = "this is not the benchmark language"
+	_, want := compileSrc(bad)
+	for i := 1; i <= 2; i++ {
+		_, err := c.Source(bad, core.DefaultOptions(4), cc.compile, nil)
+		var ce *schedcache.CompileError
+		if !errors.As(err, &ce) || err.Error() != want.Error() {
+			t.Fatalf("lookup %d: err = %v, want *CompileError %q", i, err, want)
+		}
+		if n := cc.calls.Load(); n != int64(i) {
+			t.Fatalf("lookup %d: compile ran %d times, want %d", i, n, i)
+		}
+	}
+
+	_, err := c.Source("c = a + b", core.DefaultOptions(0), compileSrc, nil)
+	var ce *schedcache.CompileError
+	if err == nil || errors.As(err, &ce) {
+		t.Fatalf("zero processors: err = %v, want a scheduling error", err)
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Hits != 0 || c.Len() != 0 {
+		t.Fatalf("stats = %v with %d entries, want 3 misses and nothing stored", st, c.Len())
+	}
+
+	if _, err := c.Source("", core.DefaultOptions(4), cc.compile, nil); !errors.As(err, &ce) {
+		t.Fatalf("empty text: err = %v, want *CompileError", err)
+	}
+	if n, st := cc.calls.Load(), c.Stats(); n != 2 || st.Lookups() != 3 {
+		t.Fatalf("empty text reached the cache: %d compiles, stats = %v", n, st)
+	}
+}
+
+// TestSourceWaitersShareWinnersError: lookups that wait on a failing
+// computation take the winner's error instead of compiling again, since
+// they asked for the same text under the same options.
+func TestSourceWaitersShareWinnersError(t *testing.T) {
+	c := schedcache.New(0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int64
+	boom := errors.New("no such program")
+	compile := func(string) (*dag.Graph, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return nil, boom
+	}
+	opts := core.DefaultOptions(4)
+
+	const waiters = 15
+	errs := make(chan error, waiters+1)
+	lookup := func() {
+		_, err := c.Source("c = a + b", opts, compile, nil)
+		errs <- err
+	}
+	go lookup()
+	<-entered
+	for i := 0; i < waiters; i++ {
+		go lookup()
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Waits < waiters; {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %v, want %d waiters parked", c.Stats(), waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i <= waiters; i++ {
+		if err := <-errs; !errors.Is(err, boom) {
+			t.Fatalf("lookup returned %v, want the winner's error", err)
+		}
+	}
+	if n := calls.Load(); n != 1 || c.Len() != 0 {
+		t.Fatalf("compile ran %d times and %d entries stored, want 1 and 0", n, c.Len())
+	}
+}
+
+// TestSourceTracesLookups: a source lookup records its cache events to the
+// recorder it is given, with the text's fingerprint as the arguments; the
+// scheduling run of a miss records nothing.
+func TestSourceTracesLookups(t *testing.T) {
+	src := synthSource(20, 4, 29)
+	c := schedcache.New(0)
+	ring := obsv.NewRing(64)
+	opts := core.DefaultOptions(4)
+	opts.Recorder = obsv.NewRing(1) // ignored: the recorder is an argument
+	for i := 0; i < 2; i++ {
+		if _, err := c.Source(src, opts, compileSrc, ring); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evs := ring.Events()
+	fp := schedcache.TextFingerprint(src)
+	if len(evs) != 2 || evs[0].Kind != obsv.KindSchedCacheMiss || evs[1].Kind != obsv.KindSchedCacheHit {
+		t.Fatalf("events = %v, want one miss then one hit", evs)
+	}
+	for _, ev := range evs {
+		if ev.Arg0 != int64(fp.Hi) || ev.Arg1 != int64(fp.Lo) || ev.Arg2 != 0 {
+			t.Fatalf("event %v, want args (%d, %d, 0)", ev, int64(fp.Hi), int64(fp.Lo))
+		}
+	}
+	if n := opts.Recorder.(*obsv.Ring).Len(); n != 0 {
+		t.Fatalf("opts.Recorder got %d events, want none", n)
 	}
 }
 

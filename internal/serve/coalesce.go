@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"sync"
@@ -10,10 +11,10 @@ import (
 	"time"
 
 	"barriermimd/internal/core"
-	"barriermimd/internal/dag"
 	"barriermimd/internal/machine"
 	"barriermimd/internal/obsv"
 	"barriermimd/internal/pool"
+	"barriermimd/internal/schedcache"
 )
 
 // groupKey is the coalescing identity: requests schedule together only
@@ -219,21 +220,19 @@ func (c *coalescer) flushKey(key groupKey) {
 }
 
 // srcUnit is the per-unique-source state of one flush: each distinct
-// program text is compiled once, scheduled once (through the shared
-// cache), and serialized at most once.
+// program text is looked up once in the shared cache and serialized at
+// most once.
 type srcUnit struct {
-	src    string
-	g      *dag.Graph
-	sched  *core.Schedule
-	err    error // compile/build error -> 400
-	schErr error // scheduling error -> 500
-	bytes  []byte
+	src   string
+	ent   *schedcache.Entry
+	err   error // compile error -> 400; scheduling or render error -> 500
+	bytes []byte
 }
 
-// execBatch serves one batch end to end: dedupe sources, compile and
-// schedule the unique ones through the shared cache (fanned across the
-// worker pool), merge the simulation sweeps per (source, policy) into
-// lane-parallel RunMany calls, and fan the responses back out.
+// execBatch serves one batch end to end: dedupe sources, look the unique
+// ones up in the shared cache (fanned across the worker pool), merge the
+// simulation sweeps per (source, policy) into lane-parallel RunMany
+// calls, and fan the responses back out.
 func (s *Server) execBatch(reqs []*request, trigger int) {
 	now := time.Now()
 	waits := make([]time.Duration, len(reqs))
@@ -256,16 +255,20 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 	s.trace(obsv.Event{Kind: obsv.KindServeBatch,
 		Arg0: int64(len(reqs)), Arg1: int64(len(units)), Arg2: int64(trigger)})
 
-	// Compile and schedule each unique source once. Every unit keeps its
-	// own error, so one bad program cannot fail its batchmates; equal
-	// DAGs built from different texts share one computation through the
-	// cache's singleflight.
+	// Look each unique source up once. A resident (text, options) entry
+	// is served as is; a miss compiles and schedules the text once under
+	// the cache's singleflight. Every unit keeps its own error, so one
+	// bad program cannot fail its batchmates. A traced server hands the
+	// cache a recorder that takes the server's trace lock; an untraced
+	// one hands it nil.
 	opts := reqs[0].key.options()
+	var rec obsv.Recorder
+	if s.cfg.Recorder != nil {
+		rec = tracer{s}
+	}
 	pool.ForEach(s.cfg.Workers, len(units), func(i int) error {
 		u := units[i]
-		if u.g, u.err = CompileDAG(u.src); u.err == nil {
-			u.sched, u.schErr = s.cache.Schedule(u.g, opts)
-		}
+		u.ent, u.err = s.cache.Source(u.src, opts, CompileDAG, rec)
 		return nil
 	})
 
@@ -276,17 +279,17 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 			continue
 		}
 		u := units[srcIdx[rq.src]]
-		if u.bytes == nil && u.sched != nil {
-			raw, jerr := u.sched.ExportJSON()
+		if u.bytes == nil && u.err == nil {
+			raw, jerr := u.ent.Schedule().ExportJSON()
 			if jerr != nil {
-				u.schErr = jerr
+				u.err = jerr
 			} else {
 				u.bytes = append(raw, '\n')
 			}
 		}
 	}
 
-	simBodies := s.execSims(reqs, units, srcIdx, opts)
+	simBodies := s.execSims(reqs, units, srcIdx)
 
 	// Fan responses out, counting every request served from a body that
 	// another request in the batch already rendered. done is buffered, so
@@ -298,9 +301,7 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 		var resp response
 		switch {
 		case u.err != nil:
-			resp = errResponse(http.StatusBadRequest, u.err)
-		case u.schErr != nil:
-			resp = errResponse(http.StatusInternalServerError, u.schErr)
+			resp = errResponse(errStatus(u.err), u.err)
 		case rq.endpoint == epSchedule:
 			resp = response{status: http.StatusOK, body: u.bytes}
 		default:
@@ -322,6 +323,16 @@ func (s *Server) execBatch(reqs []*request, trigger int) {
 		s.c.shared.Add(uint64(shared))
 		global.shared.Add(uint64(shared))
 	}
+}
+
+// errStatus is the status a unit's error answers with: 400 for a program
+// that does not compile, 500 for a failed schedule or render.
+func errStatus(err error) int {
+	var compileErr *schedcache.CompileError
+	if errors.As(err, &compileErr) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 func errResponse(status int, err error) response {
@@ -351,9 +362,7 @@ type mergeKey struct {
 // workload. Lane i of a RunMany batch is field-identical to
 // Plan.Run(seeds[i]), so merged sweeps return exactly what per-request
 // sweeps would.
-func (s *Server) execSims(reqs []*request, units []*srcUnit, srcIdx map[string]int,
-	opts core.Options) map[simKey]response {
-
+func (s *Server) execSims(reqs []*request, units []*srcUnit, srcIdx map[string]int) map[simKey]response {
 	type simSlice struct {
 		key simKey
 		off int // offset of this workload's lanes in the merged seed list
@@ -371,8 +380,7 @@ func (s *Server) execSims(reqs []*request, units []*srcUnit, srcIdx map[string]i
 			continue
 		}
 		i := srcIdx[rq.src]
-		u := units[i]
-		if u.err != nil || u.schErr != nil || u.sched == nil {
+		if units[i].err != nil {
 			continue
 		}
 		sk := simKey{i, rq.policy, rq.runs}
@@ -395,8 +403,7 @@ func (s *Server) execSims(reqs []*request, units []*srcUnit, srcIdx map[string]i
 
 	for _, mk := range order {
 		m := merges[mk]
-		u := units[mk.srcI]
-		plan, err := s.cache.Plan(u.g, opts, u.sched)
+		plan, err := units[mk.srcI].ent.Plan()
 		if err == nil && len(m.seeds) > 0 {
 			var br *machine.BatchResult
 			br, err = plan.RunMany(machine.Config{Policy: mk.policy}, m.seeds)

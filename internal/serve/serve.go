@@ -59,8 +59,9 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Recorder, when non-nil, receives serve-domain trace events
-	// (KindServeBatch, KindServeRequest, KindServeOverload). The server
-	// serializes its calls, so it need not be goroutine-safe.
+	// (KindServeBatch, KindServeRequest, KindServeOverload) and the
+	// schedule cache's sched-cache-{hit,miss,wait,evict} events. The
+	// server serializes its calls, so it need not be goroutine-safe.
 	Recorder obsv.Recorder
 }
 
@@ -324,6 +325,13 @@ func (s *Server) trace(ev obsv.Event) {
 	s.cfg.Recorder.Record(ev)
 	s.traceMu.Unlock()
 }
+
+// tracer is the Recorder a flush hands the schedule cache: it records
+// through Server.trace, so cache events take the same lock as the
+// server's own.
+type tracer struct{ s *Server }
+
+func (t tracer) Record(ev obsv.Event) { t.s.trace(ev) }
 
 // buildRequest validates and normalizes one decoded request into the
 // coalescer's internal form.

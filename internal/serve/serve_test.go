@@ -542,3 +542,108 @@ func TestTraceRecordsEveryConcurrentRequest(t *testing.T) {
 		t.Errorf("%d serve-request events (%d dropped) for %d requests, want %d", requests, ring.Dropped(), n, n)
 	}
 }
+
+// TestTraceRecordsCacheEvents: a traced server records the schedule
+// cache's own events. The same program posted twice, one request per
+// batch, leaves one sched-cache-miss and then one sched-cache-hit for the
+// same text fingerprint.
+func TestTraceRecordsCacheEvents(t *testing.T) {
+	srcs, _ := testPrograms(t, 1, 20)
+	ts, ring := tracedServer(t, serve.Config{MaxBatch: 1})
+	for i := 0; i < 2; i++ {
+		if status, body := postJSON(t, ts.URL+"/v1/schedule", serve.Request{Src: srcs[0], Procs: 4}); status != http.StatusOK {
+			t.Fatalf("post %d: status %d (%s)", i, status, body)
+		}
+	}
+	var cache []obsv.Event
+	for _, ev := range ring.Events() {
+		switch ev.Kind {
+		case obsv.KindSchedCacheHit, obsv.KindSchedCacheMiss, obsv.KindSchedCacheWait, obsv.KindSchedCacheEvict:
+			cache = append(cache, ev)
+		}
+	}
+	if len(cache) != 2 || cache[0].Kind != obsv.KindSchedCacheMiss || cache[1].Kind != obsv.KindSchedCacheHit {
+		t.Fatalf("cache events = %v, want one sched-cache-miss then one sched-cache-hit", cache)
+	}
+	if miss, hit := cache[0], cache[1]; hit.Arg0 != miss.Arg0 || hit.Arg1 != miss.Arg1 || hit.Arg2 != 0 {
+		t.Fatalf("hit %v does not carry the miss's fingerprint %v", hit, miss)
+	}
+}
+
+// TestConcurrentPostsScheduleOnce: 16 concurrent posts of one new
+// program, one request per batch, look the cache up 16 times and
+// schedule the program once; the other 15 lookups hit or wait.
+func TestConcurrentPostsScheduleOnce(t *testing.T) {
+	srcs, paths := testPrograms(t, 1, 60)
+	want := schedOracle(t, paths[0], 8, 0)
+	s := serve.New(serve.Config{MaxBatch: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 16
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			status, body := postJSON(t, ts.URL+"/v1/schedule", serve.Request{Src: srcs[0]})
+			if status != http.StatusOK || !bytes.Equal(body, want) {
+				t.Errorf("status %d: body differs from bmsched -json (%.80s)", status, body)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	st := s.Cache().Stats()
+	if st.Misses != 1 || st.Hits+st.Waits != n-1 || s.Cache().Len() != 1 {
+		t.Fatalf("cache stats = %v with %d entries, want 1 miss, %d hits or waits and 1 entry", st, s.Cache().Len(), n-1)
+	}
+}
+
+// TestWhitespaceVariantsAreSeparateEntries: the cache keys by program
+// text, so two texts that differ only in whitespace get an entry each,
+// and each body equals `bmsched -json` of its own file.
+func TestWhitespaceVariantsAreSeparateEntries(t *testing.T) {
+	srcs, paths := testPrograms(t, 1, 30)
+	variant := "\n" + strings.ReplaceAll(srcs[0], " = ", "  =  ")
+	vpath := filepath.Join(t.TempDir(), "variant.bb")
+	if err := os.WriteFile(vpath, []byte(variant), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, tc := range []struct{ src, path string }{{srcs[0], paths[0]}, {variant, vpath}} {
+		status, body := postJSON(t, ts.URL+"/v1/schedule", serve.Request{Src: tc.src, Procs: 4, Seed: 2})
+		if status != http.StatusOK {
+			t.Fatalf("text %d: status %d (%s)", i, status, body)
+		}
+		if !bytes.Equal(body, schedOracle(t, tc.path, 4, 2)) {
+			t.Fatalf("text %d: served schedule differs from bmsched -json", i)
+		}
+	}
+	if st := s.Cache().Stats(); st.Misses != 2 || st.Hits != 0 || s.Cache().Len() != 2 {
+		t.Fatalf("cache stats = %v with %d entries, want 2 misses and 2 entries", st, s.Cache().Len())
+	}
+}
+
+// TestCompileErrorIsNotCached: a program that does not parse answers 400
+// with the parser's error every time it is posted, and is never stored.
+func TestCompileErrorIsNotCached(t *testing.T) {
+	s := serve.New(serve.Config{MaxBatch: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, want := serve.CompileDAG("this is not the benchmark language")
+	wantBody, _ := json.Marshal(map[string]string{"error": want.Error()})
+	for i := 0; i < 2; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/schedule", serve.Request{Src: "this is not the benchmark language"})
+		if status != http.StatusBadRequest || !bytes.Equal(bytes.TrimSpace(body), wantBody) {
+			t.Fatalf("post %d: status %d body %s, want 400 %s", i, status, body, wantBody)
+		}
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("%d entries resident after two compile errors, want 0", n)
+	}
+}
